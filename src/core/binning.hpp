@@ -9,12 +9,13 @@
 //    chips land in a bin below their true Vmin. Point-based binning needs an
 //    explicit guard band.
 //
-// 2. Feature pre-binning (FeatureBinner) for histogram-based split search:
-//    quantize each feature to <= max_bins codes whose boundaries are
-//    candidate split thresholds, so a boosting round scans O(n + bins) per
-//    feature instead of the exact O(n log n) sort scan. The fast kernel
-//    tier (linalg::KernelPolicy::kFast) routes GBT / ordered-boost fits
-//    through these codes.
+// 2. Feature pre-binning (FeatureBinner) for split search: quantize each
+//    feature to <= max_bins codes whose boundaries are candidate split
+//    thresholds. The fast kernel tier (linalg::KernelPolicy::kFast) routes
+//    GBT / ordered-boost fits through histograms of these codes, O(n + bins)
+//    per feature with thresholds limited to the edges. The exact ordered-
+//    boost search uses the same codes as each value's rank against the
+//    feature's borders (see the invariant below).
 #pragma once
 
 #include <cstddef>
@@ -85,8 +86,10 @@ double mean_voltage_saving(const BinningResult& a, const BinningResult& b,
 /// tree stores ordinary thresholds — prediction never sees the binner.
 ///
 /// Everything is deterministic (pure function of the training matrix), but
-/// candidate thinning means the chosen splits can differ from the exact
-/// sort-based scan: fit paths using codes are fast-tier by construction.
+/// fit()'s candidate thinning means histogram splits can differ from the
+/// exact presorted scan: histogram fit paths are fast-tier by construction.
+/// With explicit edges (import_edges) the invariant alone makes a code an
+/// exact stand-in for the threshold test.
 class FeatureBinner {
  public:
   /// Learns edges from every column of x. max_bins >= 2 (throws otherwise);

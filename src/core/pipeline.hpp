@@ -5,9 +5,10 @@
 // CatBoost) rely on their intrinsic feature selection and receive the raw
 // features. Because our from-scratch exact-split trees are slower than the
 // tuned packages the paper calls into, the pipeline applies a top-|r|
-// correlation prefilter before the tree models (default 48 columns) — a
-// documented compute substitution (DESIGN.md Sec. 6) that leaves the trees'
-// intrinsic selection to do the real work.
+// correlation prefilter before the tree models (default 32 columns,
+// PipelineConfig::tree_prefilter) — a documented compute substitution
+// (DESIGN.md Sec. 10) that leaves the trees' intrinsic selection to do the
+// real work.
 #pragma once
 
 #include <cstdint>

@@ -175,10 +175,18 @@ class VminDaemon {
   std::uint64_t publish(std::shared_ptr<const serve::VminPredictor> predictor,
                         bool is_install);
 
+  /// Submitters write the queue and the counters on every request; the
+  /// batcher writes the queue, the epoch cell, the gate and its sequence on
+  /// every batch. The queue, the epoch cell and the counters each start a
+  /// cache line, so no line mixes one thread's private writes with state
+  /// the other thread uses (false sharing). Unaligned, which members shared
+  /// a line depended on where the heap placed the daemon (DESIGN.md §11).
+  static constexpr std::size_t kCacheLine = 64;
+
   DaemonConfig config_;
   BundleCache cache_;
-  parallel::BoundedQueue<WorkItem> queue_;
-  parallel::SwapCell<Epoch> epoch_cell_;
+  alignas(kCacheLine) parallel::BoundedQueue<WorkItem> queue_;
+  alignas(kCacheLine) parallel::SwapCell<Epoch> epoch_cell_;
   parallel::Gate gate_;
   parallel::ServiceThread batcher_;
 
@@ -191,7 +199,7 @@ class VminDaemon {
   /// Batcher-private service counter (only the batcher thread touches it).
   std::uint64_t next_served_sequence_ = 0;
 
-  mutable parallel::Mutex stats_mutex_;
+  alignas(kCacheLine) mutable parallel::Mutex stats_mutex_;
   DaemonStats stats_;
 };
 

@@ -1,6 +1,7 @@
 #include "models/gbt.hpp"
 
 #include <algorithm>
+#include <optional>
 #include <stdexcept>
 #include <utility>
 
@@ -47,17 +48,21 @@ void GradientBoostedTrees::fit(const Matrix& x, const Vector& y) {
   Vector grad(n), hess(n);
   trees_.reserve(static_cast<std::size_t>(config_.n_rounds));
 
-  // Fast kernel tier: pre-bin the design once, then every round's split
-  // search runs over histograms instead of the exact sort scan. The binner
-  // is a pure function of x, so fits stay deterministic and thread-count
-  // invariant — they just choose (slightly) different trees than the
-  // bit-exact tier, which is why the policy gates them.
+  // Both tiers prepare the design once per fit. Bit-exact: every feature's
+  // rows sorted once, then partitioned down each round's tree. Fast: pre-bin
+  // the design, then every round's split search runs over histograms. The
+  // binner is a pure function of x, so fast fits stay deterministic and
+  // thread-count invariant — they just choose (slightly) different trees
+  // than the bit-exact tier, which is why the policy gates them.
   const bool binned = linalg::kernel_policy() == linalg::KernelPolicy::kFast;
   core::FeatureBinner binner;
   std::vector<std::uint16_t> codes;
+  std::optional<SortedDesign> sorted;
   if (binned) {
     binner.fit(x);
     codes = binner.bin(x);
+  } else {
+    sorted.emplace(x);
   }
 
   const bool parallel_rows = n >= kMinParallelRows;
@@ -75,13 +80,13 @@ void GradientBoostedTrees::fit(const Matrix& x, const Vector& y) {
     if (binned) {
       tree.fit_binned(x, grad, hess, config_.tree, binner, codes);
     } else {
-      tree.fit(x, grad, hess, config_.tree);
+      tree.fit(*sorted, grad, hess, config_.tree);
     }
+    const auto& leaf_ids = tree.train_leaf_ids();
 
     if (config_.loss.kind == LossKind::kPinball) {
       // Leaf-quantile refit: set each leaf to the loss-optimal constant for
       // the samples it contains (the q-quantile of current residuals).
-      const auto& leaf_ids = tree.train_leaf_ids();
       std::vector<std::vector<double>> residuals(tree.n_leaves());
       for (std::size_t i = 0; i < n; ++i) {
         residuals[static_cast<std::size_t>(leaf_ids[i])].push_back(y[i] -
@@ -95,11 +100,15 @@ void GradientBoostedTrees::fit(const Matrix& x, const Vector& y) {
       }
     }
 
+    // Each training row's leaf is known from the fit, which partitioned the
+    // rows by the `x <= threshold` test predict_row walks (the binned path by
+    // its code equivalent), so leaf_value(leaf id) is what predict_row would
+    // return.
     parallel::parallel_for(
         n, /*grain=*/0,
         [&](std::size_t begin, std::size_t end) {
           for (std::size_t i = begin; i < end; ++i) {
-            pred[i] += config_.learning_rate * tree.predict_row(x.row_ptr(i));
+            pred[i] += config_.learning_rate * tree.leaf_value(leaf_ids[i]);
           }
         },
         parallel_rows);

@@ -31,13 +31,69 @@ constexpr std::size_t kMinParallelSplitWork = 4096;
 /// Batch size below which predict stays single-shard (matches gbt.cpp).
 constexpr std::size_t kMinParallelRows = 256;
 
+/// Exact oblivious level search. Row i lies left of border b of feature f
+/// iff its code is <= b (the binner invariant bin_of(f, v) <= b <=> v <=
+/// edge(f, b)), so one ascending pass over the rows adds each row's
+/// (grad, hess) to its partition's sums for every border b >= its code. Each
+/// (border, partition) sum thus receives exactly the rows a thresholded
+/// `x(i, f) <= border` scan adds, in the same order: the same sums, scores
+/// and winner, bit for bit, without a branch on x.
+LevelCandidate search_level_exact(
+    const core::FeatureBinner& binner, const std::vector<std::uint16_t>& codes,
+    std::size_t n, std::size_t d, const Vector& grad, const Vector& hess,
+    const std::vector<std::size_t>& leaf_of, const std::vector<double>& g_tot,
+    const std::vector<double>& h_tot, double l2, bool use_pool) {
+  const std::size_t parts = g_tot.size();
+  return parallel::parallel_deterministic_reduce(
+      d, /*grain=*/1, LevelCandidate{},
+      [&](std::size_t f_begin, std::size_t f_end) {
+        LevelCandidate local;
+        // (partition, border) -> interleaved (g, h) left sums.
+        std::vector<double> left_sums;
+        for (std::size_t f = f_begin; f < f_end; ++f) {
+          const std::vector<double>& edges = binner.edges(f);
+          const std::size_t borders = edges.size();
+          if (borders == 0) continue;  // constant feature
+          left_sums.assign(2 * parts * borders, 0.0);
+          for (std::size_t i = 0; i < n; ++i) {
+            double* sums = left_sums.data() + 2 * borders * leaf_of[i];
+            const double g = grad[i], h = hess[i];
+            for (std::size_t b = codes[i * d + f]; b < borders; ++b) {
+              sums[2 * b] += g;
+              sums[2 * b + 1] += h;
+            }
+          }
+          for (std::size_t b = 0; b < borders; ++b) {
+            double score = 0.0;
+            for (std::size_t p = 0; p < parts; ++p) {
+              const double* sums = left_sums.data() + 2 * (p * borders + b);
+              const double gl = sums[0], hl = sums[1];
+              const double gr = g_tot[p] - gl, hr = h_tot[p] - hl;
+              score += gl * gl / (hl + l2) + gr * gr / (hr + l2);
+            }
+            if (score > local.score) {
+              local.score = score;
+              local.feature = f;
+              local.threshold = edges[b];
+              local.found = true;
+            }
+          }
+        }
+        return local;
+      },
+      [](LevelCandidate acc, LevelCandidate part) {
+        return part.score > acc.score ? part : acc;
+      },
+      use_pool);
+}
+
 /// Fast-tier oblivious level search: one pass over the samples fills a
 /// per-(bin, partition) G/H histogram per feature, then every border's score
 /// falls out of an ascending prefix sweep — O(n + borders x partitions) per
-/// feature instead of the exact path's O(n x borders) rescans. Deterministic
-/// and thread-count invariant, but the per-partition sums accumulate in bin
-/// order rather than row order, so scores (and therefore chosen splits) can
-/// differ from the exact tier in the last bits.
+/// feature instead of the exact path's O(n x borders) suffix sums.
+/// Deterministic and thread-count invariant, but the per-partition sums
+/// accumulate in bin order rather than row order, so scores (and therefore
+/// chosen splits) can differ from the exact tier in the last bits.
 // vmincqr: numeric-tier(tolerance)
 LevelCandidate search_level_binned(
     const core::FeatureBinner& binner, const std::vector<std::uint16_t>& codes,
@@ -132,9 +188,12 @@ std::vector<std::vector<double>> OrderedBoostedTrees::compute_borders(
         borders[f].push_back(0.5 * (values[pos] + values[std::min(
                                                       pos + 1, values.size() - 1)]));
       }
-      borders[f].erase(std::unique(borders[f].begin(), borders[f].end()),
-                       borders[f].end());
     }
+    // Midpoints can coincide (after thinning, or between adjacent doubles);
+    // a repeated border scores exactly like its first copy, so dropping it
+    // never changes a split, and the binner needs strictly ascending edges.
+    borders[f].erase(std::unique(borders[f].begin(), borders[f].end()),
+                     borders[f].end());
   }
   return borders;
 }
@@ -151,18 +210,13 @@ void OrderedBoostedTrees::fit(const Matrix& x, const Vector& y) {
     base_score_ = stats::mean(y);
   }
 
-  const auto borders = compute_borders(x);
-
-  // Fast kernel tier: pre-bin x by the borders once, so each level's split
-  // search runs over histograms (search_level_binned) instead of rescanning
-  // every (feature, border) pair against the raw columns.
-  const bool hist = linalg::kernel_policy() == linalg::KernelPolicy::kFast;
+  // Both tiers rank every value against its feature's borders once per fit;
+  // they differ only in how a level search accumulates: row-order suffix
+  // sums (search_level_exact) or histogram prefixes (search_level_binned).
   core::FeatureBinner binner;
-  std::vector<std::uint16_t> codes;
-  if (hist) {
-    binner.import_edges(borders);
-    codes = binner.bin(x);
-  }
+  binner.import_edges(compute_borders(x));
+  const std::vector<std::uint16_t> codes = binner.bin(x);
+  const bool hist = linalg::kernel_policy() == linalg::KernelPolicy::kFast;
 
   feature_gains_.assign(n_features_, 0.0);
   rng::Rng rng(config_.seed);
@@ -210,42 +264,9 @@ void OrderedBoostedTrees::fit(const Matrix& x, const Vector& y) {
           hist ? search_level_binned(binner, codes, n, x.cols(), grad, hess,
                                      leaf_of, g_tot, h_tot,
                                      config_.l2_leaf_reg, use_pool)
-               : parallel::parallel_deterministic_reduce(
-          x.cols(), /*grain=*/1, LevelCandidate{},
-          [&](std::size_t f_begin, std::size_t f_end) {
-            LevelCandidate local;
-            std::vector<double> g_left(current_parts), h_left(current_parts);
-            for (std::size_t f = f_begin; f < f_end; ++f) {
-              for (double thr : borders[f]) {
-                std::fill(g_left.begin(), g_left.end(), 0.0);
-                std::fill(h_left.begin(), h_left.end(), 0.0);
-                for (std::size_t i = 0; i < n; ++i) {
-                  if (x(i, f) <= thr) {
-                    g_left[leaf_of[i]] += grad[i];
-                    h_left[leaf_of[i]] += hess[i];
-                  }
-                }
-                double score = 0.0;
-                for (std::size_t p = 0; p < current_parts; ++p) {
-                  const double gl = g_left[p], hl = h_left[p];
-                  const double gr = g_tot[p] - gl, hr = h_tot[p] - hl;
-                  score += gl * gl / (hl + config_.l2_leaf_reg) +
-                           gr * gr / (hr + config_.l2_leaf_reg);
-                }
-                if (score > local.score) {
-                  local.score = score;
-                  local.feature = f;
-                  local.threshold = thr;
-                  local.found = true;
-                }
-              }
-            }
-            return local;
-          },
-          [](LevelCandidate acc, LevelCandidate part) {
-            return part.score > acc.score ? part : acc;
-          },
-          use_pool);
+               : search_level_exact(binner, codes, n, x.cols(), grad, hess,
+                                    leaf_of, g_tot, h_tot, config_.l2_leaf_reg,
+                                    use_pool);
 
       if (!best.found) break;  // no usable split candidates (constant features)
       if (best.score > parent_score) {

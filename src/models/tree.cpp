@@ -1,6 +1,8 @@
 #include "models/tree.hpp"
 
 #include <algorithm>
+#include <cstdint>
+#include <limits>
 #include <numeric>
 #include <stdexcept>
 #include <utility>
@@ -26,29 +28,61 @@ struct SplitCandidate {
 
 }  // namespace
 
-void RegressionTree::fit(const Matrix& x, const Vector& grad,
-                         const Vector& hess, const TreeConfig& config,
-                         const std::vector<std::size_t>& rows) {
-  if (x.rows() == 0 || x.cols() == 0) {
-    throw std::invalid_argument("RegressionTree::fit: empty design matrix");
+SortedDesign::SortedDesign(const Matrix& x) : rows_(x.rows()), cols_(x.cols()) {
+  if (rows_ == 0 || cols_ == 0) {
+    throw std::invalid_argument("SortedDesign: empty design matrix");
   }
+  if (rows_ > std::numeric_limits<std::uint32_t>::max()) {
+    throw std::invalid_argument("SortedDesign: too many rows for 32-bit ids");
+  }
+  columns_.resize(cols_ * rows_);
+  for (std::size_t r = 0; r < rows_; ++r) {
+    const double* row = x.row_ptr(r);
+    for (std::size_t f = 0; f < cols_; ++f) columns_[f * rows_ + r] = row[f];
+  }
+  sorted_.resize((cols_ + 1) * rows_);
+  // Each list is sorted on its own, so the pool may run them in any order.
+  parallel::parallel_for(
+      cols_ + 1, /*grain=*/1,
+      [&](std::size_t l_begin, std::size_t l_end) {
+        for (std::size_t l = l_begin; l < l_end; ++l) {
+          std::uint32_t* list = sorted_.data() + l * rows_;
+          std::iota(list, list + rows_, std::uint32_t{0});
+          if (l == cols_) continue;  // the all-rows list stays ascending
+          const double* column = columns_.data() + l * rows_;
+          // Row id breaks value ties, so the order is a pure function of x.
+          std::sort(list, list + rows_, [column](std::uint32_t a, std::uint32_t b) {
+            if (column[a] != column[b]) return column[a] < column[b];
+            return a < b;
+          });
+        }
+      },
+      /*use_pool=*/rows_ * cols_ >= kMinParallelSplitWork);
+  order_.resize(sorted_.size());
+  spill_.resize(sorted_.size());
+  goes_left_.resize(rows_);
+}
+
+void RegressionTree::fit(const Matrix& x, const Vector& grad,
+                         const Vector& hess, const TreeConfig& config) {
   if (grad.size() != x.rows() || hess.size() != x.rows()) {
+    throw std::invalid_argument("RegressionTree::fit: grad/hess size mismatch");
+  }
+  SortedDesign design(x);  // throws on an empty design
+  fit(design, grad, hess, config);
+}
+
+void RegressionTree::fit(SortedDesign& design, const Vector& grad,
+                         const Vector& hess, const TreeConfig& config) {
+  if (grad.size() != design.rows() || hess.size() != design.rows()) {
     throw std::invalid_argument("RegressionTree::fit: grad/hess size mismatch");
   }
   nodes_.clear();
   leaf_node_index_.clear();
   n_leaves_ = 0;
-  train_leaf_ids_.assign(x.rows(), -1);
-
-  std::vector<std::size_t> all_rows = rows;
-  if (all_rows.empty()) {
-    all_rows.resize(x.rows());
-    std::iota(all_rows.begin(), all_rows.end(), std::size_t{0});
-  }
-  split_sort_scratch_.assign(x.cols(), {});
-  build(x, grad, hess, config, all_rows, 0);
-  split_sort_scratch_.clear();
-  split_sort_scratch_.shrink_to_fit();
+  train_leaf_ids_.assign(design.rows(), -1);
+  design.order_ = design.sorted_;  // same size: reuses the buffer
+  build(design, grad, hess, config, 0, design.rows(), 0);
   flat_.clear();
   flat_.add_tree(nodes_);
 }
@@ -59,8 +93,7 @@ void RegressionTree::fit(const Matrix& x, const Vector& grad,
 void RegressionTree::fit_binned(const Matrix& x, const Vector& grad,
                                 const Vector& hess, const TreeConfig& config,
                                 const core::FeatureBinner& binner,
-                                const std::vector<std::uint16_t>& codes,
-                                const std::vector<std::size_t>& rows) {
+                                const std::vector<std::uint16_t>& codes) {
   if (x.rows() == 0 || x.cols() == 0) {
     throw std::invalid_argument(
         "RegressionTree::fit_binned: empty design matrix");
@@ -79,11 +112,8 @@ void RegressionTree::fit_binned(const Matrix& x, const Vector& grad,
   n_leaves_ = 0;
   train_leaf_ids_.assign(x.rows(), -1);
 
-  std::vector<std::size_t> all_rows = rows;
-  if (all_rows.empty()) {
-    all_rows.resize(x.rows());
-    std::iota(all_rows.begin(), all_rows.end(), std::size_t{0});
-  }
+  std::vector<std::size_t> all_rows(x.rows());
+  std::iota(all_rows.begin(), all_rows.end(), std::size_t{0});
   build_binned(grad, hess, config, binner, codes, x.cols(), all_rows, 0);
   flat_.clear();
   flat_.add_tree(nodes_);
@@ -125,13 +155,19 @@ void RegressionTree::import_nodes(std::vector<TreeNode> nodes) {
   flat_.add_tree(nodes_);
 }
 
-std::int32_t RegressionTree::build(const Matrix& x, const Vector& grad,
+std::int32_t RegressionTree::build(SortedDesign& design, const Vector& grad,
                                    const Vector& hess, const TreeConfig& config,
-                                   std::vector<std::size_t>& rows, int depth) {
+                                   std::size_t begin, std::size_t end,
+                                   int depth) {
+  const std::size_t n = design.rows_;
+  const std::size_t d = design.cols_;
+  const std::size_t count = end - begin;
+  // The node's rows in ascending id order: the all-rows list's segment.
+  const std::uint32_t* rows = design.order_.data() + d * n;
   double g_total = 0.0, h_total = 0.0;
-  for (auto r : rows) {
-    g_total += grad[r];
-    h_total += hess[r];
+  for (std::size_t i = begin; i < end; ++i) {
+    g_total += grad[rows[i]];
+    h_total += hess[rows[i]];
   }
 
   const auto make_leaf = [&]() {
@@ -142,45 +178,40 @@ std::int32_t RegressionTree::build(const Matrix& x, const Vector& grad,
     const auto node_index = static_cast<std::int32_t>(nodes_.size());
     nodes_.push_back(leaf);
     leaf_node_index_.push_back(node_index);
-    for (auto r : rows) train_leaf_ids_[r] = leaf.leaf_id;
+    for (std::size_t i = begin; i < end; ++i) {
+      train_leaf_ids_[rows[i]] = leaf.leaf_id;
+    }
     return node_index;
   };
 
-  if (depth >= config.max_depth || rows.size() < 2 * config.min_samples_leaf ||
-      rows.size() < 2) {
+  if (depth >= config.max_depth || count < 2 * config.min_samples_leaf ||
+      count < 2) {
     return make_leaf();
   }
 
   // Exact greedy split search, parallel across features: each chunk scans
-  // its features against a private sort buffer, then the per-chunk bests
-  // fold in ascending feature order — so the winner (first strict maximum)
-  // matches a sequential feature-order scan at every thread count.
+  // its features' presorted segments, then the per-chunk bests fold in
+  // ascending feature order — so the winner (first strict maximum) matches
+  // a sequential feature-order scan at every thread count.
   const double parent_score = g_total * g_total / (h_total + config.lambda);
-  const bool use_pool = rows.size() * x.cols() >= kMinParallelSplitWork;
+  const bool use_pool = count * d >= kMinParallelSplitWork;
   const SplitCandidate best = parallel::parallel_deterministic_reduce(
-      x.cols(), /*grain=*/1, SplitCandidate{},
+      d, /*grain=*/1, SplitCandidate{},
       [&](std::size_t f_begin, std::size_t f_end) {
         SplitCandidate local;
         for (std::size_t f = f_begin; f < f_end; ++f) {
-          std::vector<std::size_t>& sorted = split_sort_scratch_[f];
-          sorted.assign(rows.begin(), rows.end());
-          // Row index breaks value ties so the scan order is a pure
-          // function of the data, not of the previous feature's sort.
-          std::sort(sorted.begin(), sorted.end(),
-                    [&](std::size_t a, std::size_t b) {
-                      if (x(a, f) != x(b, f)) return x(a, f) < x(b, f);
-                      return a < b;
-                    });
+          const std::uint32_t* sorted = design.order_.data() + f * n;
+          const double* column = design.columns_.data() + f * n;
           double g_left = 0.0, h_left = 0.0;
-          for (std::size_t i = 0; i + 1 < sorted.size(); ++i) {
-            const auto r = sorted[i];
+          for (std::size_t i = begin; i + 1 < end; ++i) {
+            const std::uint32_t r = sorted[i];
             g_left += grad[r];
             h_left += hess[r];
-            const double v = x(r, f);
-            const double v_next = x(sorted[i + 1], f);
+            const double v = column[r];
+            const double v_next = column[sorted[i + 1]];
             if (v == v_next) continue;  // cannot split between equal values
-            const std::size_t n_left = i + 1;
-            const std::size_t n_right = sorted.size() - n_left;
+            const std::size_t n_left = i + 1 - begin;
+            const std::size_t n_right = count - n_left;
             if (n_left < config.min_samples_leaf ||
                 n_right < config.min_samples_leaf) {
               continue;
@@ -213,13 +244,37 @@ std::int32_t RegressionTree::build(const Matrix& x, const Vector& grad,
 
   if (best.gain <= 0.0) return make_leaf();
 
-  std::vector<std::size_t> left_rows, right_rows;
-  left_rows.reserve(rows.size());
-  right_rows.reserve(rows.size());
-  for (auto r : rows) {
-    (x(r, best.feature) <= best.threshold ? left_rows : right_rows).push_back(r);
+  // The split test once per row, then a stable partition of every list's
+  // segment by it, left rows first: each child's segment is then exactly
+  // its rows in (value, row) order, as a fresh sort would leave them.
+  const double* split_column = design.columns_.data() + best.feature * n;
+  std::uint8_t* goes_left = design.goes_left_.data();
+  std::size_t n_left = 0;
+  for (std::size_t i = begin; i < end; ++i) {
+    const bool is_left = split_column[rows[i]] <= best.threshold;
+    goes_left[rows[i]] = is_left ? 1 : 0;
+    n_left += is_left ? 1 : 0;
   }
-  if (left_rows.empty() || right_rows.empty()) return make_leaf();
+  if (n_left == 0 || n_left == count) return make_leaf();
+  parallel::parallel_for(
+      d + 1, /*grain=*/1,
+      [&](std::size_t l_begin, std::size_t l_end) {
+        for (std::size_t l = l_begin; l < l_end; ++l) {
+          std::uint32_t* list = design.order_.data() + l * n;
+          std::uint32_t* spill = design.spill_.data() + l * n;
+          std::size_t to_left = begin, to_right = begin;
+          for (std::size_t i = begin; i < end; ++i) {
+            const std::uint32_t r = list[i];
+            const std::size_t is_left = goes_left[r];
+            list[to_left] = r;  // to_left <= i: never overwrites unread ids
+            spill[to_right] = r;
+            to_left += is_left;
+            to_right += 1 - is_left;
+          }
+          std::copy(spill + begin, spill + to_right, list + to_left);
+        }
+      },
+      use_pool);
 
   const auto node_index = static_cast<std::int32_t>(nodes_.size());
   nodes_.emplace_back();  // placeholder; children may reallocate nodes_
@@ -228,8 +283,10 @@ std::int32_t RegressionTree::build(const Matrix& x, const Vector& grad,
   nodes_[node_index].threshold = best.threshold;
   nodes_[node_index].gain = best.gain;
 
-  const std::int32_t left = build(x, grad, hess, config, left_rows, depth + 1);
-  const std::int32_t right = build(x, grad, hess, config, right_rows, depth + 1);
+  const std::int32_t left =
+      build(design, grad, hess, config, begin, begin + n_left, depth + 1);
+  const std::int32_t right =
+      build(design, grad, hess, config, begin + n_left, end, depth + 1);
   nodes_[node_index].left = left;
   nodes_[node_index].right = right;
   return node_index;

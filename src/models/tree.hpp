@@ -42,27 +42,68 @@ struct TreeNode {
   double gain = 0.0;          ///< split gain (internal nodes)
 };
 
+/// The exact split search's view of one design matrix, built once and shared
+/// by every tree fitted on it (GradientBoostedTrees builds one per fit).
+///
+/// It holds each feature's row ids sorted by (x(r, f), r), the order in which
+/// the exact search scans a node's rows. A node owns the same contiguous
+/// segment of every feature's list. A split stably partitions each segment by
+/// the split test, left rows first; a stable partition of a (value, row)-
+/// sorted list is exactly what re-sorting each child would produce, so every
+/// node scans the rows a per-node sort would give it, in the same order
+/// (DESIGN.md §9).
+class SortedDesign {
+ public:
+  /// Sorts every column of x once. Throws std::invalid_argument on an empty
+  /// matrix or more rows than 32-bit row ids address.
+  explicit SortedDesign(const Matrix& x);
+
+  [[nodiscard]] std::size_t rows() const noexcept { return rows_; }
+
+ private:
+  friend class RegressionTree;
+
+  std::size_t rows_ = 0;
+  std::size_t cols_ = 0;
+  /// x column-major: columns_[f * rows_ + r] == x(r, f).
+  std::vector<double> columns_;
+  /// cols_ + 1 lists of rows_ ids each: feature f's rows sorted by
+  /// (x(r, f), r), then every row in ascending order (the order node totals
+  /// and leaf ids are taken in).
+  std::vector<std::uint32_t> sorted_;
+  /// One fit's working copy of sorted_, partitioned in place node by node.
+  std::vector<std::uint32_t> order_;
+  /// The right-hand rows of a segment while it is partitioned.
+  std::vector<std::uint32_t> spill_;
+  /// The split test per row of the node being partitioned (1 = left).
+  std::vector<std::uint8_t> goes_left_;
+};
+
 class RegressionTree {
  public:
   /// Fits the tree structure to (x, grad, hess). All vectors length x.rows().
-  /// `rows` restricts training to a subset (empty -> all rows).
   /// Throws std::invalid_argument on shape mismatch.
   void fit(const Matrix& x, const Vector& grad, const Vector& hess,
-           const TreeConfig& config,
-           const std::vector<std::size_t>& rows = {});
+           const TreeConfig& config);
+
+  /// fit() over a prebuilt SortedDesign of x, so a boosting loop sorts its
+  /// design once rather than once per tree; the tree is the same, bit for
+  /// bit. Throws std::invalid_argument when grad/hess do not have
+  /// design.rows() entries.
+  void fit(SortedDesign& design, const Vector& grad, const Vector& hess,
+           const TreeConfig& config);
 
   /// Histogram-split variant of fit(): the split search scans pre-binned
-  /// codes (one G/H/count histogram per feature, O(n + bins) instead of the
-  /// exact O(n log n) sort scan), with candidate thresholds limited to the
-  /// binner's edges. Fully deterministic and thread-count invariant, but the
+  /// codes (one G/H/count histogram per feature) with candidate thresholds
+  /// limited to the binner's edges, instead of every midpoint of the exact
+  /// presorted scan. Fully deterministic and thread-count invariant, but the
   /// chosen splits can differ from fit()'s exact scan — fast-tier only
   /// (linalg::KernelPolicy::kFast fit paths route here).
   /// `codes` is the binner's row-major code matrix for x; throws
   /// std::invalid_argument on shape mismatch with x or the binner.
   void fit_binned(const Matrix& x, const Vector& grad, const Vector& hess,
                   const TreeConfig& config, const core::FeatureBinner& binner,
-                  const std::vector<std::uint16_t>& codes,
-                  const std::vector<std::size_t>& rows = {});
+                  const std::vector<std::uint16_t>& codes);
 
   /// Prediction for one feature row of length d (must equal the training
   /// feature count; unchecked hot path).
@@ -71,8 +112,7 @@ class RegressionTree {
   /// Predictions for every row of x. Throws std::logic_error if not fitted.
   [[nodiscard]] Vector predict(const Matrix& x) const;
 
-  /// Leaf id per *training* row index (size = x.rows() passed to fit;
-  /// untrained rows get -1 when a row subset was used).
+  /// Leaf id per training row (size = rows of the design passed to fit).
   [[nodiscard]] const std::vector<std::int32_t>& train_leaf_ids() const {
     return train_leaf_ids_;
   }
@@ -109,9 +149,11 @@ class RegressionTree {
   [[nodiscard]] const FlatForest& flat() const noexcept { return flat_; }
 
  private:
-  std::int32_t build(const Matrix& x, const Vector& grad, const Vector& hess,
-                     const TreeConfig& config, std::vector<std::size_t>& rows,
-                     int depth);
+  /// Grows the subtree over the rows of segment [begin, end) of every
+  /// design.order_ list.
+  std::int32_t build(SortedDesign& design, const Vector& grad,
+                     const Vector& hess, const TreeConfig& config,
+                     std::size_t begin, std::size_t end, int depth);
 
   std::int32_t build_binned(const Vector& grad, const Vector& hess,
                             const TreeConfig& config,
@@ -119,12 +161,6 @@ class RegressionTree {
                             const std::vector<std::uint16_t>& codes,
                             std::size_t n_features,
                             std::vector<std::size_t>& rows, int depth);
-
-  /// Fit-time scratch: one row-order buffer per feature, reused by every
-  /// node's split search (the per-feature chunks of one search run
-  /// concurrently, so they must not share a buffer). Sized by fit(),
-  /// released before fit() returns.
-  std::vector<std::vector<std::size_t>> split_sort_scratch_;
 
   std::vector<TreeNode> nodes_;
   FlatForest flat_;  // single-tree SoA mirror of nodes_ (see flat())

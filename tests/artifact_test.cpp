@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <bit>
+#include <cmath>
 #include <cstdint>
 #include <fstream>
 #include <limits>
@@ -17,11 +18,13 @@
 #include "conformal/normalized.hpp"
 #include "conformal/split_cp.hpp"
 #include "core/pipeline.hpp"
+#include "linalg/kernels.hpp"
 #include "models/elastic_net.hpp"
 #include "models/factory.hpp"
 #include "models/gbt.hpp"
 #include "models/linear.hpp"
 #include "models/region.hpp"
+#include "parallel/thread_pool.hpp"
 #include "rng/rng.hpp"
 #include "silicon/dataset_gen.hpp"
 
@@ -439,6 +442,81 @@ TEST(ArtifactBundle, DebugJsonRendersDecodedValues) {
   EXPECT_NE(json.find("\"selected_features\""), std::string::npos);
 }
 
+// --- pinned tree-bundle digests ---------------------------------------------
+//
+// 64-bit FNV-1a digests of the encoded bundles of a CQR-XGBoost and a
+// CQR-CatBoost screen fitted on a tie-heavy design. They were recorded from
+// the sort-per-node exact split search and the thresholded per-(feature,
+// border) level scans these fits replaced: any change to a tree's structure,
+// a threshold, a leaf value or the calibration moves the digest, and so does
+// a thread-count dependence (each is refitted at widths 1, 2 and 8).
+
+std::uint64_t fnv1a(const std::vector<std::uint8_t>& bytes) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (const std::uint8_t b : bytes) {
+    h ^= b;
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
+
+/// 421 rows (not a multiple of 32) x 14 columns: thirteen columns on a 0.25
+/// grid (heavy ties) and one constant column.
+Problem tie_heavy_problem() {
+  rng::Rng rng(2024);
+  Problem p{linalg::Matrix(421, 14), linalg::Vector(421)};
+  for (std::size_t i = 0; i < p.x.rows(); ++i) {
+    for (std::size_t c = 0; c + 1 < p.x.cols(); ++c) {
+      p.x(i, c) = std::round(4.0 * rng.normal()) / 4.0;
+    }
+    p.x(i, p.x.cols() - 1) = 1.5;
+    p.y[i] = 0.55 +
+             0.01 * (p.x(i, 0) - 0.5 * p.x(i, 3) + 0.25 * p.x(i, 1) * p.x(i, 2)) +
+             rng.normal(0.0, 0.004);
+  }
+  return p;
+}
+
+std::uint64_t cqr_bundle_digest(models::ModelKind kind) {
+  const Problem p = tie_heavy_problem();
+  const core::MiscoverageAlpha alpha{0.1};
+  auto cqr = std::make_unique<conformal::ConformalizedQuantileRegressor>(
+      alpha, models::make_quantile_pair(kind, alpha));
+  cqr->fit(p.x, p.y);
+  artifact::VminBundle bundle;
+  bundle.label = "digest " + cqr->name();
+  for (std::size_t c = 0; c < p.x.cols(); ++c) {
+    bundle.dataset_columns.push_back(c);
+    bundle.selected_features.push_back(c);
+  }
+  bundle.predictor = std::move(cqr);
+  return fnv1a(artifact::encode_bundle(bundle));
+}
+
+/// Refits at widths 1, 2 and 8 on the bit-exact tier (whatever the ambient
+/// policy); every digest must equal the pinned one.
+void expect_bundle_digest_at_widths(models::ModelKind kind,
+                                    std::uint64_t pinned) {
+  const linalg::KernelPolicyGuard policy(linalg::KernelPolicy::kBitExact);
+  for (const std::size_t width : {1, 2, 8}) {
+    parallel::set_max_threads(width);
+    const std::uint64_t got = cqr_bundle_digest(kind);
+    EXPECT_EQ(got, pinned) << "width " << width << ": digest 0x" << std::hex
+                           << got;
+  }
+  parallel::set_max_threads(0);
+}
+
+TEST(ArtifactDigest, CqrXgboostBundleBytesArePinned) {
+  expect_bundle_digest_at_widths(models::ModelKind::kXgboost,
+                                 0xcb0da26c7f82c22aULL);
+}
+
+TEST(ArtifactDigest, CqrCatboostBundleBytesArePinned) {
+  expect_bundle_digest_at_widths(models::ModelKind::kCatboost,
+                                 0xbb65b4105d2a0e1dULL);
+}
+
 // --- golden fixture ---------------------------------------------------------
 
 std::unique_ptr<models::LinearRegressor> golden_linear(double intercept) {
@@ -644,7 +722,7 @@ TEST(ArtifactFuzz, SeededSingleBitFlipsAreRejected) {
   std::uint64_t state = 0x5EEDBEEFCAFEF00DULL;
   for (int flip = 0; flip < 64; ++flip) {
     const std::uint64_t draw = rng::splitmix64(state);
-    const std::size_t byte = static_cast<std::size_t>(draw % fixture.size());
+    const std::size_t byte = draw % fixture.size();
     const unsigned bit = static_cast<unsigned>((draw >> 32) % 8);
     auto corrupted = fixture;
     corrupted[byte] ^= static_cast<std::uint8_t>(1U << bit);

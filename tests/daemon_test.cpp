@@ -172,6 +172,18 @@ TEST(DaemonBasics, StopIsIdempotentAndCoversNeverStarted) {
   d.stop();
 }
 
+TEST(DaemonBasics, HeapAllocatedDaemonStartsOnACacheLine) {
+  // The submit-side and batcher-side members start their own 64-byte lines
+  // (vmin_daemon.hpp), which holds wherever the heap places the daemon only
+  // if the daemon itself starts on a line.
+  static_assert(alignof(daemon::VminDaemon) >= 64);
+  std::vector<std::unique_ptr<daemon::VminDaemon>> daemons;
+  for (int i = 0; i < 4; ++i) {
+    daemons.push_back(std::make_unique<daemon::VminDaemon>());
+    EXPECT_EQ(reinterpret_cast<std::uintptr_t>(daemons.back().get()) % 64, 0u);
+  }
+}
+
 // --- swap atomicity against corrupted artifacts -----------------------------
 
 TEST(DaemonSwap, CorruptInstallThrowsAndLeavesActiveEpochServing) {

@@ -10,8 +10,10 @@ Both files are flat-ish JSON emitted by bench/perf_models or
 bench/perf_parallel. The comparator walks the two documents in lockstep
 and classifies every leaf by its key:
 
-  * higher-is-better  -- keys ending in ``rows_per_s``, ``speedup`` or
-    ``qps``: FAIL when current < baseline * (1 - tolerance).
+  * higher-is-better  -- keys ending in ``rows_per_s``, ``speedup``,
+    ``qps`` or ``vs_exact`` (exact-tier time over fast-tier time: a float
+    ratio that moves with every timing, so never an exact-match key):
+    FAIL when current < baseline * (1 - tolerance).
   * latency           -- keys ending in ``p50_us``, ``p99_us``, ``p50_ms``
     or ``p99_ms`` (checked BEFORE the generic ``_us``/``_ms`` suffixes):
     lower-is-better, but gated by its own ``--latency-tol`` (default
@@ -70,7 +72,7 @@ Tolerances = collections.namedtuple("Tolerances",
                                     ["perf", "latency", "stat_abs",
                                      "stat_rel"])
 
-HIGHER_BETTER_SUFFIXES = ("rows_per_s", "speedup", "qps")
+HIGHER_BETTER_SUFFIXES = ("rows_per_s", "speedup", "qps", "vs_exact")
 LATENCY_SUFFIXES = ("p50_us", "p99_us", "p50_ms", "p99_ms")
 LOWER_BETTER_SUFFIXES = ("_ms", "_s", "_us")
 STAT_ABS_SUFFIXES = ("coverage",)

@@ -54,6 +54,50 @@ def test_classify_existing_classes_unchanged():
     assert bc.classify("max_queue_depth") == "config"
 
 
+# --- gbt_fit_fast.vs_exact: a float ratio, not a config key ----------------
+
+def test_vs_exact_is_a_ratio_not_an_exact_match_key():
+    # Exact-tier time over fast-tier time. As a config key it failed every
+    # rerun (pinned 13.60, measured 9.69), however healthy the run.
+    assert bc.classify("vs_exact") == "higher"
+    base = {"gbt_fit_fast": {"par_ms": 100.0, "vs_exact": 13.60}}
+    failures, _ = run_compare(
+        base, {"gbt_fit_fast": {"par_ms": 100.0, "vs_exact": 12.50}})
+    assert failures == []
+    failures, _ = run_compare(
+        base, {"gbt_fit_fast": {"par_ms": 100.0, "vs_exact": 9.69}})
+    assert len(failures) == 1 and "REGRESSION" in failures[0]
+
+
+def test_vs_exact_averages_across_repeat_runs():
+    docs = [{"vs_exact": 3.0}, {"vs_exact": 3.2}, {"vs_exact": 3.1}]
+    cvs, failures = {}, []
+    merged = bc.aggregate(docs, "", cvs, failures)
+    assert failures == []
+    assert abs(merged["vs_exact"] - 3.1) < 1e-12
+    assert "vs_exact" in cvs
+
+
+# --- serve.artifact_bytes: pinned to the VQAF v3 size ----------------------
+
+BASELINE_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                            os.pardir, os.pardir, "bench", "baselines")
+
+
+def test_models_baseline_pins_the_sealed_v3_artifact_size():
+    # artifact_bytes is an exact-match key. perf_models encodes an 831-byte
+    # CQR-linear bundle body; VQAF v3 appends a 16-byte CSUM seal (4-byte
+    # kind, 8-byte size, 4-byte CRC-32), so the pin must be 847. The old pin
+    # of 831 predated the seal and failed the gate on every clean run.
+    with open(os.path.join(BASELINE_DIR, "BENCH_models.json"),
+              encoding="utf-8") as fh:
+        baseline = json.load(fh)
+    assert bc.classify("artifact_bytes") == "config"
+    assert baseline["serve"]["artifact_bytes"] == 831 + 4 + 8 + 4
+    failures, _ = run_compare({"artifact_bytes": 847}, {"artifact_bytes": 831})
+    assert len(failures) == 1 and "config mismatch" in failures[0]
+
+
 # --- latency band ----------------------------------------------------------
 
 def test_latency_within_wide_band_passes():
