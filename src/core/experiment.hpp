@@ -80,11 +80,14 @@ std::vector<RegionMethodScore> evaluate_region_methods(
 // Utilities.
 
 /// Runs f(0..n-1) on the process thread pool and collects the results in
-/// order — how the bench harnesses parallelize whole fit_screen pipelines
-/// across scenarios. The mapped function must be thread-safe (all
-/// experiment entry points above are: they share only immutable data) and
-/// T default-constructible. Each index is its own chunk, so results are
-/// the same objects a sequential loop would produce.
+/// order — how the bench harnesses parallelize evaluate_region_method and
+/// evaluate_point_models across scenarios. The mapped function must be
+/// thread-safe (all experiment entry points above are: they share only
+/// immutable data) and T default-constructible. Each index is its own chunk,
+/// so results are the same objects a sequential loop would produce.
+/// fit_screen is a pipeline root, not such an entry point: it sets the
+/// process-wide kernel policy and throws contract_violation inside a pool
+/// task.
 template <typename T>
 std::vector<T> parallel_map(std::size_t n,
                             const std::function<T(std::size_t)>& f) {

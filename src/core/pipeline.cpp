@@ -6,6 +6,7 @@
 #include "core/contracts.hpp"
 #include "data/feature_select.hpp"
 #include "data/split.hpp"
+#include "parallel/thread_pool.hpp"
 #include "rng/rng.hpp"
 
 namespace vmincqr::core {
@@ -77,13 +78,17 @@ std::vector<std::size_t> cfs_sweep_for_model(models::ModelKind kind,
 FittedScreen fit_screen(const ScenarioData& data, models::ModelKind kind,
                         const PipelineConfig& config, std::size_t n_features,
                         conformal::CqrMode mode) {
+  VMINCQR_REQUIRE(!parallel::ThreadPool::in_worker(),
+                  "fit_screen must not be called from a pool task");
   VMINCQR_REQUIRE(data.x.rows() >= 8,
                   "fit_screen: need at least 8 chips to split and calibrate");
   VMINCQR_CHECK_SHAPE(data.x.rows() == data.y.size(),
                       "fit_screen: design/label row mismatch");
   // Scope the configured kernel accuracy tier to this fit (restored on every
   // exit path). No parallel work is in flight here — fit_screen is a
-  // pipeline root, per the set_kernel_policy quiescence contract.
+  // pipeline root, per the set_kernel_policy quiescence contract, and the
+  // first guard above rejects a call from a pool task, where a concurrent
+  // fit_screen would race on the process-wide policy.
   const linalg::KernelPolicyGuard policy_guard(config.kernel_policy);
 
   std::vector<std::size_t> indices(data.x.rows());

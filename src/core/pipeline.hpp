@@ -85,7 +85,9 @@ struct FittedScreen {
 /// The full fit-time path for one scenario: split per config.split, select
 /// features on the proper-training part (no calibration leakage), fit the
 /// CQR-wrapped quantile pair, calibrate. Throws std::invalid_argument on a
-/// design too small to split.
+/// design too small to split. A pipeline root: it scopes the process-wide
+/// kernel policy to its fit, so it throws contract_violation when called from
+/// a pool task (e.g. inside core::parallel_map); run fits one after another.
 FittedScreen fit_screen(const ScenarioData& data, models::ModelKind kind,
                         const PipelineConfig& config, std::size_t n_features,
                         conformal::CqrMode mode = conformal::CqrMode::kSymmetric);

@@ -2,9 +2,11 @@
 // specific selection, report rendering.
 #include <gtest/gtest.h>
 
+#include "core/contracts.hpp"
 #include "core/experiment.hpp"
 #include "core/pipeline.hpp"
 #include "core/report.hpp"
+#include "parallel/thread_pool.hpp"
 #include "silicon/dataset_gen.hpp"
 
 namespace vmincqr::core {
@@ -105,6 +107,31 @@ TEST(Pipeline, SweepsAreClippedToBudget) {
   const auto sweep = cfs_sweep_for_model(models::ModelKind::kLinear, config);
   for (auto k : sweep) EXPECT_LE(k, 6u);
   EXPECT_FALSE(sweep.empty());
+}
+
+TEST(Pipeline, FitScreenUnderParallelMapIsAContractViolation) {
+  // fit_screen scopes the process-wide kernel policy to its fit, so two of
+  // them on pool lanes would race on it: it must refuse to run in a pool
+  // task. The same call outside the pool is the control.
+  const auto generated = silicon::generate_dataset(small_config());
+  const auto data = assemble_scenario(generated.dataset,
+                                      Scenario{0.0, 25.0, FeatureSet::kBoth});
+  const PipelineConfig config;
+  EXPECT_NO_THROW(
+      (void)fit_screen(data, models::ModelKind::kLinear, config, 4));
+  for (const std::size_t width : {2, 8}) {
+    parallel::set_max_threads(width);
+    EXPECT_THROW((void)parallel_map<int>(2,
+                                         [&](std::size_t) {
+                                           (void)fit_screen(
+                                               data, models::ModelKind::kLinear,
+                                               config, 4);
+                                           return 0;
+                                         }),
+                 contract_violation)
+        << "width " << width;
+  }
+  parallel::set_max_threads(0);
 }
 
 TEST(Experiment, Table3MethodsRoster) {

@@ -1,8 +1,11 @@
 // Serve-layer tests: VminPredictor must reproduce fit-time intervals from a
-// reloaded artifact alone, be invariant to batching, and reject malformed
-// inputs at the tester.
+// reloaded artifact alone, be invariant to batching, reject malformed inputs
+// at the tester, and serve the benchmark's CQR-XGBoost bundle bit for bit as
+// pinned.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <memory>
 #include <stdexcept>
 #include <utility>
@@ -12,9 +15,13 @@
 #include "conformal/cqr.hpp"
 #include "core/pipeline.hpp"
 #include "data/scaler.hpp"
+#include "linalg/kernels.hpp"
 #include "models/factory.hpp"
+#include "parallel/thread_pool.hpp"
+#include "rng/rng.hpp"
 #include "serve/vmin_predictor.hpp"
 #include "silicon/dataset_gen.hpp"
+#include "stats/metrics.hpp"
 
 using namespace vmincqr;
 
@@ -174,6 +181,101 @@ TEST(ServePredictor, LoadFileRejectsMissingPath) {
   EXPECT_THROW((void)serve::VminPredictor::load_file(
                    ::testing::TempDir() + "/does_not_exist.vqa"),
                artifact::ArtifactError);
+}
+
+// --- the benchmark's serve bundle, pinned -----------------------------------
+//
+// The 13-column CQR-XGBoost bundle that perfbench's serve_narrow workload
+// serves, trained on 2000 rows of the problem below. Its size, the coverage
+// and mean width of a 4096-row batch, and an FNV-1a digest of every served
+// bound are pinned exactly at widths 1, 2 and 8: any change to the fit, the
+// calibration, the codec or the traversal that moves one bound by one ulp
+// fails here, on every host.
+
+struct Problem {
+  linalg::Matrix x;
+  linalg::Vector y;
+};
+
+Problem make_problem(std::size_t n, std::size_t d) {
+  rng::Rng rng(7);
+  Problem p{linalg::Matrix(n, d), linalg::Vector(n)};
+  for (std::size_t i = 0; i < n; ++i) {
+    double signal = 0.0;
+    for (std::size_t c = 0; c < d; ++c) {
+      p.x(i, c) = rng.normal();
+      signal += (c % 3 == 0 ? 0.3 : 0.05) * p.x(i, c);
+    }
+    p.y[i] = 0.55 + 0.01 * signal + rng.normal(0.0, 0.003);
+  }
+  return p;
+}
+
+/// 64-bit FNV-1a over the bits of every served bound, lower then upper.
+std::uint64_t interval_digest(
+    const std::vector<serve::IntervalPrediction>& served) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  const auto mix = [&h](double v) {
+    const auto w = std::bit_cast<std::uint64_t>(v);
+    for (int byte = 0; byte < 8; ++byte) {
+      h ^= (w >> (8 * byte)) & 0xFFU;
+      h *= 0x100000001b3ULL;
+    }
+  };
+  for (const auto& interval : served) {
+    mix(interval.lower);
+    mix(interval.upper);
+  }
+  return h;
+}
+
+TEST(ServePredictor, BenchmarkXgboostBundleServesPinnedIntervals) {
+  constexpr std::size_t kFeatures = 13;
+  const Problem train = make_problem(2000, kFeatures);
+  // The batch draws from the same seed, so its first 2000 rows are the
+  // training rows: the pinned coverage is partly in-sample by construction.
+  const Problem batch = make_problem(4096, kFeatures);
+
+  std::vector<std::uint8_t> bytes;
+  {
+    // The pins are bit-exact-tier values, whatever the ambient policy.
+    const linalg::KernelPolicyGuard policy(linalg::KernelPolicy::kBitExact);
+    const core::MiscoverageAlpha alpha{0.1};
+    auto cqr = std::make_unique<conformal::ConformalizedQuantileRegressor>(
+        alpha, models::make_quantile_pair(models::ModelKind::kXgboost, alpha));
+    cqr->fit(train.x, train.y);
+    artifact::VminBundle bundle;
+    bundle.label = cqr->name();
+    for (std::size_t c = 0; c < kFeatures; ++c) {
+      bundle.dataset_columns.push_back(c);
+      bundle.selected_features.push_back(c);
+    }
+    bundle.predictor = std::move(cqr);
+    bytes = artifact::encode_bundle(bundle);
+  }
+  EXPECT_EQ(bytes.size(), 356189u);
+  const auto predictor = serve::VminPredictor::from_bytes(bytes);
+
+  for (const std::size_t width : {1, 2, 8}) {
+    parallel::set_max_threads(width);
+    const auto served = predictor.predict_batch(batch.x);
+    ASSERT_EQ(served.size(), batch.y.size());
+    linalg::Vector lower(served.size());
+    linalg::Vector upper(served.size());
+    std::size_t covered = 0;
+    for (std::size_t i = 0; i < served.size(); ++i) {
+      lower[i] = served[i].lower;
+      upper[i] = served[i].upper;
+      if (batch.y[i] >= lower[i] && batch.y[i] <= upper[i]) ++covered;
+    }
+    EXPECT_EQ(covered, 3821u) << "width " << width;
+    EXPECT_EQ(stats::mean_interval_length(lower, upper), 0x1.e812705be37d1p-7)
+        << "width " << width;
+    const std::uint64_t digest = interval_digest(served);
+    EXPECT_EQ(digest, 0xad955ce9a3c1095fULL)
+        << "width " << width << ": digest 0x" << std::hex << digest;
+  }
+  parallel::set_max_threads(0);
 }
 
 }  // namespace
