@@ -46,7 +46,6 @@ std::vector<std::uint8_t> encode_bundle(const VminBundle& bundle) {
 VminBundle decode_bundle(const std::vector<std::uint8_t>& bytes) {
   Reader reader = Reader::open(bytes);
   VminBundle bundle;
-  bundle.format_version = reader.format_version();
 
   bool saw_meta = false;
   bool saw_columns = false;

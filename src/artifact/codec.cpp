@@ -169,37 +169,32 @@ Reader Reader::open(const std::vector<std::uint8_t>& bytes) {
     throw ArtifactError("bad magic: not a VQAF artifact");
   }
   const std::uint32_t version = header.get_u32();
-  if (version == 0 || version > kFormatVersion) {
+  if (version != kFormatVersion) {
     throw ArtifactError("unsupported format version " +
-                        std::to_string(version) + " (reader supports up to " +
+                        std::to_string(version) + " (reader supports only " +
                         std::to_string(kFormatVersion) + ")");
   }
-  header.format_version_ = version;
-  if (version >= kChecksumVersion) {
-    // The artifact must end with a CSUM chunk sealing every preceding byte.
-    // Verify BEFORE any chunk parsing — a corrupted chunk header must not
-    // get the chance to misdirect the parse — then strip the seal from the
-    // readable region so decoders never see it.
-    if (header.remaining() < kChecksumChunkBytes) {
-      throw ArtifactError("v" + std::to_string(version) +
-                          " artifact missing trailing CSUM chunk");
-    }
-    const std::uint8_t* const seal_begin =
-        header.end_ - static_cast<std::ptrdiff_t>(kChecksumChunkBytes);
-    Reader seal(seal_begin, header.end_);
-    if (static_cast<ChunkKind>(seal.get_u32()) != ChunkKind::kChecksum ||
-        seal.get_u64() != kU32Size) {
-      throw ArtifactError("v" + std::to_string(version) +
-                          " artifact missing trailing CSUM chunk");
-    }
-    const std::uint32_t stored = seal.get_u32();
-    const std::uint32_t actual = crc32(
-        bytes.data(), static_cast<std::size_t>(seal_begin - bytes.data()));
-    if (stored != actual) {
-      throw ArtifactError("checksum mismatch: artifact bytes are corrupted");
-    }
-    header.end_ = seal_begin;
+  // The artifact must end with a CSUM chunk sealing every preceding byte.
+  // Verify BEFORE any chunk parsing — a corrupted chunk header must not get
+  // the chance to misdirect the parse — then strip the seal from the
+  // readable region so decoders never see it.
+  if (header.remaining() < kChecksumChunkBytes) {
+    throw ArtifactError("artifact missing trailing CSUM chunk");
   }
+  const std::uint8_t* const seal_begin =
+      header.end_ - static_cast<std::ptrdiff_t>(kChecksumChunkBytes);
+  Reader seal(seal_begin, header.end_);
+  if (static_cast<ChunkKind>(seal.get_u32()) != ChunkKind::kChecksum ||
+      seal.get_u64() != kU32Size) {
+    throw ArtifactError("artifact missing trailing CSUM chunk");
+  }
+  const std::uint32_t stored = seal.get_u32();
+  const std::uint32_t actual = crc32(
+      bytes.data(), static_cast<std::size_t>(seal_begin - bytes.data()));
+  if (stored != actual) {
+    throw ArtifactError("checksum mismatch: artifact bytes are corrupted");
+  }
+  header.end_ = seal_begin;
   return header;
 }
 
@@ -220,7 +215,6 @@ Reader::Chunk Reader::next_chunk() {
   const std::uint64_t size = get_u64();
   need(static_cast<std::size_t>(size));
   Reader payload(cursor_, cursor_ + size);
-  payload.format_version_ = format_version_;
   cursor_ += size;
   return {static_cast<ChunkKind>(kind), payload};
 }
@@ -370,7 +364,7 @@ void render_chunks(Reader region, std::ostringstream& out, int indent) {
 std::string chunk_tree_json(const std::vector<std::uint8_t>& bytes) {
   Reader reader = Reader::open(bytes);
   std::ostringstream out;
-  out << "{\"format\": \"VQAF\", \"version\": " << reader.format_version()
+  out << "{\"format\": \"VQAF\", \"version\": " << kFormatVersion
       << ", \"chunks\": [\n";
   render_chunks(reader, out, 1);
   out << "]}";

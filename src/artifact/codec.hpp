@@ -53,15 +53,12 @@ inline constexpr std::uint32_t kMagic = fourcc('V', 'Q', 'A', 'F');
 ///       detects every burst error up to 32 bits — in particular any
 ///       single flipped byte anywhere in the artifact — turning silent
 ///       payload corruption (e.g. a damaged IEEE-754 coefficient that
-///       still parses) into a hard ArtifactError at load time. A CSUM
-///       chunk in a v1/v2 stream is rejected as an unknown chunk, so
-///       corrupting a v3 header's version field cannot skip verification.
-/// Writers emit kFormatVersion; Reader::open accepts every version in
-/// [1, kFormatVersion] and decoders branch on Reader::format_version().
+///       still parses) into a hard ArtifactError at load time.
+/// Writers emit kFormatVersion and Reader::open accepts only kFormatVersion:
+/// this repository produces every artifact it reads, so an older version is
+/// refitted, not decoded. A corrupted version field therefore fails open()
+/// and can never skip checksum verification.
 inline constexpr std::uint32_t kFormatVersion = 3;
-
-/// First format version whose artifacts carry the trailing CSUM chunk.
-inline constexpr std::uint32_t kChecksumVersion = 3;
 
 /// Chunk tags. Bundle-level chunks first, then one tag per serializable
 /// predictor type (the tag doubles as the type discriminator).
@@ -81,14 +78,14 @@ enum class ChunkKind : std::uint32_t {
   kCqr = fourcc('C', 'Q', 'R', 'C'),
   kSplitCp = fourcc('S', 'C', 'P', 'C'),
   kNormalizedCp = fourcc('N', 'C', 'P', 'C'),
-  kChecksum = fourcc('C', 'S', 'U', 'M'),  ///< trailing CRC-32 seal (v3+)
+  kChecksum = fourcc('C', 'S', 'U', 'M'),  ///< trailing CRC-32 seal
 };
 
 /// Human-readable FourCC, e.g. "META" (non-printable bytes escape to '?').
 [[nodiscard]] std::string chunk_kind_name(ChunkKind kind);
 
 /// CRC-32 (IEEE 802.3, reflected, init/final-xor 0xFFFFFFFF) — the integrity
-/// seal behind the v3 CSUM chunk. Exposed for tests and external tooling.
+/// seal behind the CSUM chunk. Exposed for tests and external tooling.
 [[nodiscard]] std::uint32_t crc32(const std::uint8_t* data, std::size_t size);
 
 /// Streams the compact binary encoding. Scalars outside a chunk are legal
@@ -128,8 +125,9 @@ class Reader {
  public:
   struct Chunk;  // { kind, payload } — defined below (needs complete Reader)
 
-  /// Validates the header and returns a reader over the chunk region.
-  /// Throws ArtifactError on bad magic or an unsupported format version.
+  /// Validates the header and the trailing CSUM seal and returns a reader
+  /// over the chunk region. Throws ArtifactError on bad magic, any format
+  /// version other than kFormatVersion, or a missing or mismatched seal.
   [[nodiscard]] static Reader open(const std::vector<std::uint8_t>& bytes);
 
   Reader(const std::uint8_t* begin, const std::uint8_t* end);
@@ -138,11 +136,6 @@ class Reader {
   [[nodiscard]] std::size_t remaining() const noexcept {
     return static_cast<std::size_t>(end_ - cursor_);
   }
-  /// Format version of the enclosing artifact (nested readers inherit it).
-  [[nodiscard]] std::uint32_t format_version() const noexcept {
-    return format_version_;
-  }
-
   /// Reads one chunk header + payload, advancing past the whole chunk.
   [[nodiscard]] Chunk next_chunk();
   /// next_chunk() that must yield `kind`; throws ArtifactError otherwise.
@@ -164,7 +157,6 @@ class Reader {
 
   const std::uint8_t* cursor_;
   const std::uint8_t* end_;
-  std::uint32_t format_version_ = kFormatVersion;
 };
 
 /// One decoded chunk: its tag and a reader confined to its payload bytes.

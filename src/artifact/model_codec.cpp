@@ -109,9 +109,9 @@ void put_mlp_body(Writer& writer, const models::MlpParams& params) {
   writer.put_f64(params.b2);
 }
 
-// v2 encoding: SoA node planes over the whole forest, in tree order — the
-// same layout the flat-forest traversal kernel consumes, so decode fills
-// planes instead of transposing per-node records.
+// SoA node planes over the whole forest, in tree order — the same layout the
+// flat-forest traversal kernel consumes, so decode fills planes instead of
+// transposing per-node records.
 void put_gbt_body(Writer& writer, const models::GbtParams& params) {
   writer.put_f64(params.base_score);
   writer.put_f64(params.learning_rate);
@@ -169,44 +169,7 @@ void put_gbt_body(Writer& writer, const models::GbtParams& params) {
   writer.put_vec(f64_plane);
 }
 
-// Legacy (format version 1) decode: interleaved per-node records.
-//
-// The per-tree node vector is the sanctioned allocation: each tree owns its
-// node storage and the vector is moved into params.trees, so a hoisted
-// buffer would be re-allocated after every move anyway (hotpath_tiers.toml).
-// vmincqr: hot-path(allow-alloc)
-models::GbtParams get_gbt_body_v1(Reader& reader) {
-  models::GbtParams params;
-  params.base_score = reader.get_f64();
-  params.learning_rate = reader.get_f64();
-  params.n_features = reader.get_u64();
-  const std::uint64_t n_trees = reader.get_u64();
-  params.trees.reserve(static_cast<std::size_t>(n_trees));
-  for (std::uint64_t t = 0; t < n_trees; ++t) {
-    const std::uint64_t n_nodes = reader.get_u64();
-    std::vector<models::TreeNode> nodes;
-    nodes.reserve(static_cast<std::size_t>(n_nodes));
-    for (std::uint64_t n = 0; n < n_nodes; ++n) {
-      models::TreeNode node;
-      node.is_leaf = reader.get_u8() != 0;
-      node.feature = reader.get_u64();
-      node.threshold = reader.get_f64();
-      node.left = static_cast<std::int32_t>(reader.get_u32());
-      node.right = static_cast<std::int32_t>(reader.get_u32());
-      node.value = reader.get_f64();
-      node.leaf_id = static_cast<std::int32_t>(reader.get_u32());
-      node.gain = reader.get_f64();
-      nodes.push_back(node);
-    }
-    params.trees.push_back(std::move(nodes));
-  }
-  return params;
-}
-
-// The per-tree node vector is the sanctioned allocation (see above).
-// vmincqr: hot-path(allow-alloc)
 models::GbtParams get_gbt_body(Reader& reader) {
-  if (reader.format_version() < 2) return get_gbt_body_v1(reader);
   models::GbtParams params;
   params.base_score = reader.get_f64();
   params.learning_rate = reader.get_f64();

@@ -62,9 +62,8 @@ void CvPlusRegressor::fit(const Matrix& x, const Vector& y) {
   calibrated_ = true;
 }
 
-// Per-chunk lo/hi order-statistic scratch is the sanctioned allocation: the
-// sorts must not contend across chunks (hotpath_tiers.toml).
-// vmincqr: hot-path(allow-alloc)
+// Per-chunk lo/hi order-statistic scratch: the sorts must not contend across
+// chunks. tests/alloc_test.cpp pins the allocation count.
 IntervalPrediction CvPlusRegressor::predict_interval(const Matrix& x) const {
   if (!calibrated_) throw std::logic_error("CvPlusRegressor: not calibrated");
   const std::size_t n = residuals_.size();
@@ -78,7 +77,7 @@ IntervalPrediction CvPlusRegressor::predict_interval(const Matrix& x) const {
       [&](std::size_t begin, std::size_t end) {
         for (std::size_t k = begin; k < end; ++k) {
           // Already batched: one dispatch per fold model predicts every
-          // test row at once. vmincqr-lint: allow(virtual-in-inner-loop)
+          // test row at once.
           fold_preds[k] = fold_models_[k]->predict(x);
         }
       });

@@ -168,9 +168,8 @@ Vector GaussianProcessRegressor::predict(const Matrix& x) const {
   return posterior(x).mean;
 }
 
-// Per-chunk variance scratch is the sanctioned allocation: one vector per
-// pool chunk, reused across every row of the chunk (hotpath_tiers.toml).
-// vmincqr: hot-path(allow-alloc)
+// Per-chunk variance scratch: one vector per pool chunk, reused across every
+// row of the chunk. tests/alloc_test.cpp pins the allocation count.
 GpPosterior GaussianProcessRegressor::posterior(const Matrix& x) const {
   check_predict_args(x, n_features_, fitted_);
   const Matrix xs = scaler_.transform(x);

@@ -199,7 +199,6 @@ constexpr std::size_t kForwardGrain = 256;
 
 }  // namespace
 
-// vmincqr: hot-path(allow-alloc)
 Vector MlpRegressor::forward(const Matrix& xs) const {
   // Width comes from the fitted parameters, not the config, so an imported
   // parameter set with a different hidden width evaluates correctly.

@@ -49,10 +49,9 @@ VminPredictor VminPredictor::from_bytes(
   return VminPredictor(artifact::decode_bundle(bytes));
 }
 
-// The per-shard row_block slab is the sanctioned allocation: each shard
-// hands its model a contiguous sub-batch so the predictor sees one
-// cache-friendly matrix per dispatch (hotpath_tiers.toml).
-// vmincqr: hot-path(allow-alloc)
+// The per-shard row_block slab gives each shard's model a contiguous
+// sub-batch: one cache-friendly matrix per dispatch. tests/alloc_test.cpp
+// pins the allocation count of every call.
 std::vector<IntervalPrediction> VminPredictor::predict_batch(
     const Matrix& x) const {
   VMINCQR_REQUIRE(x.rows() > 0, "VminPredictor::predict_batch: empty batch");

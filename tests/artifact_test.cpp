@@ -146,10 +146,15 @@ TEST(ArtifactCodec, OpenRejectsBadMagic) {
 }
 
 TEST(ArtifactCodec, OpenRejectsFutureFormatVersion) {
-  artifact::Writer writer;
-  auto bytes = writer.finish();
-  bytes[4] = 99;  // format version field, little-endian
-  EXPECT_THROW((void)artifact::Reader::open(bytes), artifact::ArtifactError);
+  // Only kFormatVersion decodes: 0 was never written, 1 and 2 are retired
+  // (this repository refits rather than reads them), 99 is from the future.
+  for (const unsigned version : {0U, 1U, 2U, 99U}) {
+    artifact::Writer writer;
+    auto bytes = writer.finish();
+    bytes[4] = static_cast<std::uint8_t>(version);  // little-endian field
+    EXPECT_THROW((void)artifact::Reader::open(bytes), artifact::ArtifactError)
+        << "version " << version;
+  }
 }
 
 TEST(ArtifactCodec, OpenRejectsTruncatedHeader) {
@@ -581,101 +586,6 @@ TEST(ArtifactGolden, CheckedInFixtureDecodesToExpectedPredictions) {
   }
 }
 
-TEST(ArtifactGolden, V1FixtureStillDecodesToExpectedPredictions) {
-  // The pre-SoA (format version 1) fixture must keep decoding through the
-  // legacy path: Reader::open accepts [1, kFormatVersion] and the decoders
-  // branch on format_version(). Same frozen forward pass as the current
-  // fixture.
-  const auto bytes =
-      read_file(std::string(VMINCQR_ARTIFACT_FIXTURE_DIR) +
-                "/golden_cqr_linear_v1.vqa");
-  const auto bundle = artifact::decode_bundle(bytes);
-  EXPECT_EQ(bundle.format_version, 1u);
-  EXPECT_EQ(bundle.label, "golden CQR linear");
-
-  const linalg::Matrix x{{0.0, 1.0, 2.0, 3.0},
-                         {1.0, -1.0, 0.5, -0.5},
-                         {-2.0, 0.25, 4.0, 8.0}};
-  const auto band =
-      bundle.predictor->predict_interval(x.take_cols(bundle.selected_features));
-  const double expected[3][2] = {
-      {0.44374999999999998, 0.52500000000000002},
-      {0.45156249999999998, 0.53281250000000002},
-      {0.42695312499999999, 0.50820312499999998},
-  };
-  for (std::size_t i = 0; i < 3; ++i) {
-    EXPECT_EQ(band.lower[i], expected[i][0]) << "row " << i;
-    EXPECT_EQ(band.upper[i], expected[i][1]) << "row " << i;
-  }
-}
-
-TEST(ArtifactGolden, V2FixtureStillDecodesToExpectedPredictions) {
-  // The pre-checksum (format version 2) fixture: no trailing CSUM chunk, so
-  // Reader::open must not demand one, and the decode must match the same
-  // frozen forward pass.
-  const auto bytes =
-      read_file(std::string(VMINCQR_ARTIFACT_FIXTURE_DIR) +
-                "/golden_cqr_linear_v2.vqa");
-  const auto bundle = artifact::decode_bundle(bytes);
-  EXPECT_EQ(bundle.format_version, 2u);
-  EXPECT_EQ(bundle.label, "golden CQR linear");
-
-  const linalg::Matrix x{{0.0, 1.0, 2.0, 3.0},
-                         {1.0, -1.0, 0.5, -0.5},
-                         {-2.0, 0.25, 4.0, 8.0}};
-  const auto band =
-      bundle.predictor->predict_interval(x.take_cols(bundle.selected_features));
-  const double expected[3][2] = {
-      {0.44374999999999998, 0.52500000000000002},
-      {0.45156249999999998, 0.53281250000000002},
-      {0.42695312499999999, 0.50820312499999998},
-  };
-  for (std::size_t i = 0; i < 3; ++i) {
-    EXPECT_EQ(band.lower[i], expected[i][0]) << "row " << i;
-    EXPECT_EQ(band.upper[i], expected[i][1]) << "row " << i;
-  }
-}
-
-TEST(ArtifactModels, GbtV1InterleavedRecordsDecode) {
-  // Hand-encode a fitted GBT with the v1 interleaved per-node record layout,
-  // stamp the header as version 1, and check the legacy decoder reproduces
-  // the live model bit for bit.
-  const Problem p = make_problem(80, 4);
-  models::GbtConfig config;
-  config.n_rounds = 5;
-  models::GradientBoostedTrees model(config);
-  model.fit(p.x, p.y);
-  const models::GbtParams params = model.export_params();
-
-  artifact::Writer writer;
-  writer.begin_chunk(artifact::ChunkKind::kGbt);
-  writer.put_f64(params.base_score);
-  writer.put_f64(params.learning_rate);
-  writer.put_u64(params.n_features);
-  writer.put_u64(params.trees.size());
-  for (const auto& nodes : params.trees) {
-    writer.put_u64(nodes.size());
-    for (const models::TreeNode& node : nodes) {
-      writer.put_u8(node.is_leaf ? 1 : 0);
-      writer.put_u64(node.feature);
-      writer.put_f64(node.threshold);
-      writer.put_u32(static_cast<std::uint32_t>(node.left));
-      writer.put_u32(static_cast<std::uint32_t>(node.right));
-      writer.put_f64(node.value);
-      writer.put_u32(static_cast<std::uint32_t>(node.leaf_id));
-      writer.put_f64(node.gain);
-    }
-  }
-  writer.end_chunk();
-  auto bytes = writer.finish();
-  bytes[4] = 1;  // rewrite the header: declare format version 1
-
-  artifact::Reader reader = artifact::Reader::open(bytes);
-  EXPECT_EQ(reader.format_version(), 1u);
-  const auto decoded = artifact::decode_regressor(reader);
-  EXPECT_EQ(decoded->predict(p.x), model.predict(p.x));
-}
-
 TEST(ArtifactGolden, FormatIsByteStableAgainstFixture) {
   // Re-encoding the hand-specified golden bundle must reproduce the
   // checked-in file byte for byte: any codec change that alters the wire
@@ -734,9 +644,8 @@ TEST(ArtifactFuzz, SeededSingleBitFlipsAreRejected) {
 
 TEST(ArtifactFuzz, VersionByteFlipsCannotSkipVerification) {
   // Flipping the version field is the one corruption that could disable the
-  // checksum gate itself. Every reachable value must still reject: 0 and
-  // >kFormatVersion fail open(); 1 and 2 parse without the gate but then
-  // trip over the CSUM chunk, which is unknown to pre-v3 decoders.
+  // checksum gate itself. Every reachable value must still reject: open()
+  // accepts kFormatVersion alone.
   const auto fixture =
       read_file(std::string(VMINCQR_ARTIFACT_FIXTURE_DIR) +
                 "/golden_cqr_linear.vqa");
@@ -753,7 +662,7 @@ TEST(ArtifactFuzz, VersionByteFlipsCannotSkipVerification) {
 
 TEST(ArtifactFuzz, TruncatedSealRejected) {
   // Cutting anywhere inside the trailing CSUM chunk (or removing it
-  // entirely) must fail the "v3 artifact missing trailing CSUM" gate.
+  // entirely) must fail the "artifact missing trailing CSUM" gate.
   const auto fixture =
       read_file(std::string(VMINCQR_ARTIFACT_FIXTURE_DIR) +
                 "/golden_cqr_linear.vqa");

@@ -9,9 +9,7 @@
 #include <tuple>
 #include <utility>
 
-#include "concurrency.hpp"
 #include "core/experiment.hpp"
-#include "dataflow.hpp"
 #include "parse.hpp"
 
 namespace vmincqr::lint {
@@ -220,6 +218,84 @@ std::string innermost_class(const std::vector<ClassSpan>& spans,
   return best;
 }
 
+/// Every named function definition in one TU's token stream (`tu` left
+/// unset — the linker stamps it).
+std::vector<FunctionDef> extract_definitions(const Unit& unit) {
+  std::vector<FunctionDef> defs;
+  const auto& t = unit.tokens;
+  const auto scopes = function_scopes(unit);
+  const auto classes = class_spans(t);
+
+  // Walk back from each body '{' to the signature; scopes that are not a
+  // named definition we model (lambdas, operators, destructors) are skipped.
+  for (const FunctionScope& s : scopes) {
+    if (s.first == 0) continue;
+    std::size_t j = s.first - 1;
+    while (j > 0 && t[j].kind == TokKind::kIdent &&
+           is_trailing_qualifier(t[j].text)) {
+      --j;
+    }
+    // Trailing return type: hop back over `-> Type` to the params ')'.
+    {
+      std::size_t k = j;
+      std::size_t steps = 0;
+      while (k > 0 && steps++ < 24) {
+        const std::string& x = t[k].text;
+        if (x == "->") {
+          j = k - 1;
+          while (j > 0 && t[j].kind == TokKind::kIdent &&
+                 is_trailing_qualifier(t[j].text)) {
+            --j;
+          }
+          break;
+        }
+        if (t[k].kind != TokKind::kIdent && x != "::" && x != "<" &&
+            x != ">" && x != "," && x != "*" && x != "&") {
+          break;
+        }
+        --k;
+      }
+    }
+    if (t[j].text != ")") continue;  // lambda ([]) or something unmodelled
+    const std::size_t params_open = find_params_open(t, j);
+    if (params_open == 0) continue;
+    const std::size_t name_idx = params_open - 1;
+    if (t[name_idx].kind != TokKind::kIdent) continue;
+    if (is_non_call_keyword(t[name_idx].text)) continue;
+    if (name_idx > 0 &&
+        (t[name_idx - 1].text == "~" || t[name_idx - 1].text == "operator")) {
+      continue;  // destructors and operator overloads: never called by name
+    }
+    FunctionDef d;
+    d.name = t[name_idx].text;
+    if (name_idx >= 2 && t[name_idx - 1].text == "::" &&
+        t[name_idx - 2].kind == TokKind::kIdent) {
+      d.qualifier = t[name_idx - 2].text;  // out-of-line member
+    } else {
+      d.qualifier = innermost_class(classes, name_idx);  // inline member
+    }
+    d.display = d.qualifier.empty() || d.qualifier == d.name
+                    ? d.name
+                    : d.qualifier + "::" + d.name;
+    d.line = t[name_idx].line;
+    d.params_open = params_open;
+    d.body_first = s.first;
+    d.body_last = s.last;
+    const std::size_t params_close = match_forward(t, params_open);
+    const ArgScan ps = scan_args(t, params_open, params_close);
+    const bool lone_void =
+        params_close == params_open + 2 && t[params_open + 1].text == "void";
+    const std::size_t n_params = ps.any && !lone_void ? ps.commas + 1 : 0;
+    d.arity_max = ps.variadic ? kNoFunction : n_params;
+    d.arity_min = ps.commas_before_default != kNoFunction
+                      ? ps.commas_before_default
+                      : n_params;
+    d.tier = numeric_tier_at(unit, d.line);
+    defs.push_back(std::move(d));
+  }
+  return defs;
+}
+
 /// Per-TU extraction result; pure function of the file bytes, so it can fan
 /// out on the deterministic pool.
 struct TuExtract {
@@ -250,10 +326,6 @@ TuExtract extract_tu(const std::string& content) {
   }
 
   // --- Call sites, attributed to the enclosing scope's definition. ---
-  std::vector<std::pair<std::size_t, std::size_t>> parallel_spans;
-  for (const ParallelBody& b : find_parallel_bodies(t)) {
-    parallel_spans.emplace_back(b.body_first, b.body_last);
-  }
   for (std::size_t si = 0; si < scopes.size(); ++si) {
     const FunctionScope& s = scopes[si];
     for (std::size_t i = s.first + 1; i + 1 < s.last; ++i) {
@@ -292,12 +364,6 @@ TuExtract extract_tu(const std::string& content) {
       const std::size_t args_close = match_forward(t, args_open);
       const ArgScan as = scan_args(t, args_open, args_close);
       call.arity = as.any ? as.commas + 1 : 0;
-      for (const auto& span : parallel_spans) {
-        if (i > span.first && i < span.second) {
-          call.in_parallel_body = true;
-          break;
-        }
-      }
       out.calls.push_back(std::move(call));
     }
   }
@@ -372,17 +438,6 @@ std::string chain_of(const CallGraph& g, const ReachInfo& info,
   return out;
 }
 
-/// True when `display` path has a `parallel` directory component — the pool
-/// implementation itself legitimately owns a static singleton.
-bool in_parallel_dir(const std::string& display) {
-  std::string comp;
-  std::stringstream ss(display);
-  while (std::getline(ss, comp, '/')) {
-    if (comp == "parallel") return true;
-  }
-  return false;
-}
-
 const std::set<std::string>& numeric_entry_names() {
   static const std::set<std::string> names = {
       "fit",           "fit_with_split", "fit_transform",
@@ -392,90 +447,6 @@ const std::set<std::string>& numeric_entry_names() {
 }
 
 }  // namespace
-
-std::vector<FunctionDef> extract_definitions(const Unit& unit) {
-  std::vector<FunctionDef> defs;
-  const auto& t = unit.tokens;
-  const auto scopes = function_scopes(unit);
-  const auto classes = class_spans(t);
-
-  // Walk back from each body '{' to the signature; scopes that are not a
-  // named definition we model (lambdas, operators, destructors) are skipped.
-  for (const FunctionScope& s : scopes) {
-    if (s.first == 0) continue;
-    std::size_t j = s.first - 1;
-    while (j > 0 && t[j].kind == TokKind::kIdent &&
-           is_trailing_qualifier(t[j].text)) {
-      --j;
-    }
-    // Trailing return type: hop back over `-> Type` to the params ')'.
-    {
-      std::size_t k = j;
-      std::size_t steps = 0;
-      while (k > 0 && steps++ < 24) {
-        const std::string& x = t[k].text;
-        if (x == "->") {
-          j = k - 1;
-          while (j > 0 && t[j].kind == TokKind::kIdent &&
-                 is_trailing_qualifier(t[j].text)) {
-            --j;
-          }
-          break;
-        }
-        if (t[k].kind != TokKind::kIdent && x != "::" && x != "<" &&
-            x != ">" && x != "," && x != "*" && x != "&") {
-          break;
-        }
-        --k;
-      }
-    }
-    if (t[j].text != ")") continue;  // lambda ([]) or something unmodelled
-    const std::size_t params_open = find_params_open(t, j);
-    if (params_open == 0) continue;
-    const std::size_t name_idx = params_open - 1;
-    if (t[name_idx].kind != TokKind::kIdent) continue;
-    if (is_non_call_keyword(t[name_idx].text)) continue;
-    if (name_idx > 0 &&
-        (t[name_idx - 1].text == "~" || t[name_idx - 1].text == "operator")) {
-      continue;  // destructors and operator overloads: never called by name
-    }
-    FunctionDef d;
-    d.name = t[name_idx].text;
-    if (name_idx >= 2 && t[name_idx - 1].text == "::" &&
-        t[name_idx - 2].kind == TokKind::kIdent) {
-      d.qualifier = t[name_idx - 2].text;  // out-of-line member
-    } else {
-      d.qualifier = innermost_class(classes, name_idx);  // inline member
-    }
-    d.display = d.qualifier.empty() || d.qualifier == d.name
-                    ? d.name
-                    : d.qualifier + "::" + d.name;
-    d.line = t[name_idx].line;
-    d.params_open = params_open;
-    d.body_first = s.first;
-    d.body_last = s.last;
-    const std::size_t params_close = match_forward(t, params_open);
-    const ArgScan ps = scan_args(t, params_open, params_close);
-    const bool lone_void =
-        params_close == params_open + 2 && t[params_open + 1].text == "void";
-    const std::size_t n_params = ps.any && !lone_void ? ps.commas + 1 : 0;
-    d.arity_max = ps.variadic ? kNoFunction : n_params;
-    d.arity_min = ps.commas_before_default != kNoFunction
-                      ? ps.commas_before_default
-                      : n_params;
-    for (std::size_t i = params_open + 1; i < params_close; ++i) {
-      if (t[i].kind != TokKind::kIdent) continue;
-      const std::string& nx = t[i + 1].text;
-      if ((nx == "," || nx == ")" || nx == "=") &&
-          !is_non_call_keyword(t[i].text)) {
-        d.params.push_back(t[i].text);
-      }
-    }
-    d.tier = numeric_tier_at(unit, d.line);
-    defs.push_back(std::move(d));
-  }
-  return defs;
-}
 
 CallGraph CallGraph::build(const std::vector<SourceFile>& files,
                            const LayerConfig& layers) {
@@ -563,64 +534,6 @@ std::set<std::size_t> CallGraph::reachable_from(
   return bfs(*this, seeds).reached;
 }
 
-std::set<std::size_t> CallGraph::parallel_reachable() const {
-  std::vector<std::pair<std::size_t, std::size_t>> seeds;
-  for (std::size_t ci = 0; ci < calls_.size(); ++ci) {
-    if (!calls_[ci].in_parallel_body) continue;
-    for (std::size_t callee : calls_[ci].callees) {
-      seeds.emplace_back(callee, ci);
-    }
-  }
-  return bfs(*this, seeds).reached;
-}
-
-std::string CallGraph::to_dot(const std::set<std::size_t>& parallel_reach,
-                              const std::set<std::size_t>& numeric_reach) const {
-  std::ostringstream dot;
-  dot << "digraph vmincqr_callgraph {\n"
-      << "  rankdir=LR;\n"
-      << "  node [shape=box, fontsize=9, fontname=\"monospace\"];\n";
-  // One cluster per module, unmapped definitions at top level; all orderings
-  // come from sorted containers, so the rendering is deterministic.
-  std::map<std::string, std::vector<std::size_t>> by_module;
-  for (std::size_t di = 0; di < defs_.size(); ++di) {
-    by_module[modules_[defs_[di].tu]].push_back(di);
-  }
-  auto emit_node = [&](std::ostream& os, std::size_t di,
-                       const char* indent) {
-    const FunctionDef& d = defs_[di];
-    os << indent << "n" << di << " [label=\"" << d.display << "\\n"
-       << displays_[d.tu] << ":" << d.line << "\"";
-    std::string style;
-    if (parallel_reach.count(di) > 0) style = "filled";
-    if (d.tier == "tolerance") style += style.empty() ? "dashed" : ",dashed";
-    if (!style.empty()) os << ", style=\"" << style << "\"";
-    if (parallel_reach.count(di) > 0) os << ", fillcolor=\"#fce5cd\"";
-    if (numeric_reach.count(di) > 0) os << ", color=\"#1155cc\"";
-    os << "];\n";
-  };
-  for (const auto& [mod, dis] : by_module) {
-    if (mod.empty()) {
-      for (std::size_t di : dis) emit_node(dot, di, "  ");
-      continue;
-    }
-    dot << "  subgraph cluster_" << mod << " {\n"
-        << "    label=\"" << mod << "\";\n";
-    for (std::size_t di : dis) emit_node(dot, di, "    ");
-    dot << "  }\n";
-  }
-  std::set<std::pair<std::size_t, std::size_t>> edges;
-  for (const CallSite& c : calls_) {
-    if (c.caller == kNoFunction) continue;
-    for (std::size_t callee : c.callees) edges.emplace(c.caller, callee);
-  }
-  for (const auto& [from, to] : edges) {
-    dot << "  n" << from << " -> n" << to << ";\n";
-  }
-  dot << "}\n";
-  return dot.str();
-}
-
 CallGraphAnalysis analyze_call_graph(const std::vector<SourceFile>& files,
                                      const CallGraphOptions& options) {
   const CallGraph g = CallGraph::build(files, options.layers);
@@ -628,107 +541,6 @@ CallGraphAnalysis analyze_call_graph(const std::vector<SourceFile>& files,
   std::vector<Diagnostic> raw;
   const auto& defs = g.defs();
   const auto& calls = g.calls();
-
-  // Parallel-body spans per TU, so the transitive RNG rule never re-reports
-  // a construction the phase-3 lexical rule already covers.
-  std::map<std::size_t, std::vector<std::pair<std::size_t, std::size_t>>>
-      spans_cache;
-  auto parallel_spans_of = [&](std::size_t tu)
-      -> const std::vector<std::pair<std::size_t, std::size_t>>& {
-    auto it = spans_cache.find(tu);
-    if (it == spans_cache.end()) {
-      std::vector<std::pair<std::size_t, std::size_t>> spans;
-      for (const ParallelBody& b : find_parallel_bodies(g.unit(tu).tokens)) {
-        spans.emplace_back(b.body_first, b.body_last);
-      }
-      it = spans_cache.emplace(tu, std::move(spans)).first;
-    }
-    return it->second;
-  };
-  auto lexically_parallel = [&](std::size_t tu, std::size_t tok) {
-    for (const auto& span : parallel_spans_of(tu)) {
-      if (tok > span.first && tok < span.second) return true;
-    }
-    return false;
-  };
-
-  // --- Transitive parallel-context rules. ---
-  {
-    std::vector<std::pair<std::size_t, std::size_t>> seeds;
-    for (std::size_t ci = 0; ci < calls.size(); ++ci) {
-      if (!calls[ci].in_parallel_body) continue;
-      for (std::size_t callee : calls[ci].callees) {
-        seeds.emplace_back(callee, ci);
-      }
-    }
-    const ReachInfo reach = bfs(g, seeds);
-    for (std::size_t di : reach.reached) {
-      const FunctionDef& d = defs[di];
-      const Unit& u = g.unit(d.tu);
-      const auto& t = u.tokens;
-      const std::string& file = g.display_of(d.tu);
-      const std::string chain = chain_of(g, reach, di);
-      // mutable-static-in-parallel: a function-local static that is not
-      // const is initialized and mutated concurrently once this function
-      // runs under the pool. The pool implementation itself is exempt —
-      // its singleton is the sanctioned one.
-      if (!in_parallel_dir(file)) {
-        for (std::size_t i = d.body_first + 1; i < d.body_last; ++i) {
-          if (t[i].text != "static") continue;
-          if (i + 1 < d.body_last && (t[i + 1].text == "const" ||
-                                      t[i + 1].text == "constexpr")) {
-            continue;
-          }
-          raw.push_back(
-              {file, t[i].line, "mutable-static-in-parallel",
-               "non-const function-local static in '" + d.display +
-                   "', which is reachable from a parallel body (chain: " +
-                   chain + "); concurrent chunks race on its "
-                   "initialization and state — hoist it or make it const"});
-        }
-      }
-      // Transitive rng-in-parallel: an RNG constructed here with a seed
-      // that ignores every parameter draws a schedule-dependent stream.
-      for (std::size_t i = d.body_first + 1; i + 1 < d.body_last; ++i) {
-        if (t[i].kind != TokKind::kIdent ||
-            !is_rng_engine_type(t[i].text)) {
-          continue;
-        }
-        if (lexically_parallel(d.tu, i)) continue;  // phase 3 owns it
-        std::size_t args_open = kNoFunction;
-        if (t[i + 1].text == "(" || t[i + 1].text == "{") {
-          args_open = i + 1;  // Rng(seed) temporary
-        } else if (t[i + 1].kind == TokKind::kIdent && i + 2 < d.body_last &&
-                   (t[i + 2].text == "(" || t[i + 2].text == "{")) {
-          args_open = i + 2;  // Rng rng(seed) declaration
-        }
-        if (args_open == kNoFunction) continue;
-        const std::size_t args_close = match_forward(t, args_open);
-        // A seed that mentions any identifier (parameter, member config,
-        // chunk index) can carry per-chunk or per-instance identity and is
-        // deterministic under any schedule. Only a seed with NO identifier
-        // — a hardcoded literal or nothing — guarantees every chunk draws
-        // the very same stream: correlated draws masquerading as
-        // independent ones.
-        bool seeded_from_state = false;
-        for (std::size_t k = args_open + 1; k < args_close; ++k) {
-          if (t[k].kind == TokKind::kIdent) {
-            seeded_from_state = true;
-            break;
-          }
-        }
-        if (!seeded_from_state) {
-          raw.push_back(
-              {file, t[i].line, "rng-in-parallel",
-               "'" + t[i].text + "' constructed in '" + d.display +
-                   "', which is reachable from a parallel body (chain: " +
-                   chain + "), with a hardcoded seed; every chunk draws an "
-                   "identical stream — thread a per-chunk or per-instance "
-                   "seed through instead"});
-        }
-      }
-    }
-  }
 
   // --- Call-level layering: [call_forbidden] modules must not reach the
   // listed symbols through any call chain. ---
@@ -773,14 +585,12 @@ CallGraphAnalysis analyze_call_graph(const std::vector<SourceFile>& files,
   }
 
   // --- Numeric-safety rules on predict/fit-reachable functions. ---
-  std::set<std::size_t> numeric_reach;
   {
     std::set<std::size_t> roots;
     for (std::size_t di = 0; di < defs.size(); ++di) {
       if (numeric_entry_names().count(defs[di].name) > 0) roots.insert(di);
     }
-    numeric_reach = g.reachable_from(roots);
-    for (std::size_t di : numeric_reach) {
+    for (std::size_t di : g.reachable_from(roots)) {
       const FunctionDef& d = defs[di];
       const std::string tier = d.tier.empty() ? "bit_exact" : d.tier;
       numeric_rules_for_function(g.display_of(d.tu), g.unit(d.tu),
@@ -852,10 +662,6 @@ CallGraphAnalysis analyze_call_graph(const std::vector<SourceFile>& files,
                            std::tie(b.file, b.line, b.rule, b.message);
                   }),
       out.diagnostics.end());
-
-  if (options.emit_dot) {
-    out.dot = g.to_dot(g.parallel_reachable(), numeric_reach);
-  }
   return out;
 }
 

@@ -1,17 +1,9 @@
-// Phase-4 cross-TU symbol table and function-level call graph.
+// Pass-3 cross-TU symbol table and function-level call graph.
 //
-// Phases 1–3 are one hop deep: the concurrency rules see a parallel
-// lambda's body but not the functions it calls, and the serve/artifact
-// fit-free contract is checked at include granularity only. This phase
-// builds a whole-program (token-level, type-free) call graph on top of the
-// existing scope parser and closes both gaps:
+// The include-graph pass checks the serve/artifact fit-free contract at
+// include granularity only. This pass builds a whole-program (token-level,
+// type-free) call graph on top of the existing scope parser and checks:
 //
-//   * transitive parallel context — every function reachable from a
-//     parallel_for / parallel_deterministic_reduce body inherits the
-//     determinism contract: no non-const function-local statics
-//     (mutable-static-in-parallel) and no RNG construction whose seed
-//     ignores the caller-supplied parameters (rng-in-parallel,
-//     transitively).
 //   * call-level layering — [call_forbidden] in layers.toml names symbols
 //     (fit, calibrate, ...) that serve/artifact functions must not reach
 //     through ANY call chain, even when every include edge is legal
@@ -36,8 +28,8 @@
 //
 // Determinism: per-TU extraction fans out on core::parallel_map (each TU
 // is a pure function of its bytes); linking, resolution, BFS, and rule
-// evaluation are sequential over sorted containers, so diagnostics, SARIF,
-// and the DOT dump are byte-identical at every thread width.
+// evaluation are sequential over sorted containers, so diagnostics and
+// SARIF are byte-identical at every thread width.
 #pragma once
 
 #include <cstddef>
@@ -70,7 +62,6 @@ struct FunctionDef {
   std::size_t body_last = 0;    // token index of the matching '}'
   std::size_t arity_min = 0;    // parameters without defaults
   std::size_t arity_max = 0;    // all parameters (kNoFunction if variadic)
-  std::vector<std::string> params;  // parameter names, for seed analysis
   std::string tier;  // explicit numeric-tier annotation, "" = default
 };
 
@@ -82,8 +73,7 @@ struct CallSite {
   std::string name;
   std::size_t line = 0;
   std::size_t arity = 0;
-  bool member = false;            // x.f(...) or x->f(...)
-  bool in_parallel_body = false;  // lexically inside a parallel lambda body
+  bool member = false;  // x.f(...) or x->f(...)
   std::vector<std::size_t> callees;  // resolved global def indices
 };
 
@@ -113,15 +103,6 @@ class CallGraph {
   [[nodiscard]] std::set<std::size_t> reachable_from(
       const std::set<std::size_t>& roots) const;
 
-  /// Definitions transitively reachable from parallel lambda bodies.
-  [[nodiscard]] std::set<std::size_t> parallel_reachable() const;
-
-  /// Deterministic Graphviz DOT rendering: one cluster per module,
-  /// parallel-reachable nodes filled, tolerance-tier nodes dashed.
-  [[nodiscard]] std::string to_dot(
-      const std::set<std::size_t>& parallel_reach,
-      const std::set<std::size_t>& numeric_reach) const;
-
  private:
   std::vector<Unit> units_;
   std::vector<std::string> displays_;  // per TU
@@ -137,9 +118,6 @@ struct CallGraphOptions {
   std::set<std::string> tolerance_manifest;
   /// Manifest path for diagnostics (stale entries report against it).
   std::string manifest_display = "numeric_tiers.toml";
-  /// Render analysis.dot (skipped by default: the tier-1 run doesn't need
-  /// it).
-  bool emit_dot = false;
 };
 
 struct CallGraphAnalysis {
@@ -148,18 +126,9 @@ struct CallGraphAnalysis {
   /// Every explicit numeric-tier annotation, sorted by (file, line) —
   /// recorded in SARIF run properties as the bit-exactness audit trail.
   std::vector<TierRecord> tiers;
-  /// DOT rendering of the graph when options.emit_dot was set.
-  std::string dot;
 };
 
-/// Extracts every named function definition from one TU's token stream
-/// (`tu` left unset — the caller stamps it). Shared by the phase-4 linker,
-/// the phase-5 hot-path analyzer, and the signature-rewriting fixes, so the
-/// three can never disagree about where a function's parameters and body
-/// sit.
-std::vector<FunctionDef> extract_definitions(const Unit& unit);
-
-/// Runs all phase-4 rules over the file set.
+/// Runs every call-graph rule over the file set.
 CallGraphAnalysis analyze_call_graph(const std::vector<SourceFile>& files,
                                      const CallGraphOptions& options);
 

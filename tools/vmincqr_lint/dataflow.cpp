@@ -44,8 +44,13 @@ bool is_fit_callee(const std::string& name) {
   return name == "fit" || name == "fit_transform";
 }
 
+/// Type names whose construction consumes an RNG seed (`Rng`, the std
+/// engines).
 bool is_engine_type(const std::string& name) {
-  return is_rng_engine_type(name);
+  static const std::set<std::string> engines = {
+      "Rng",          "mt19937", "mt19937_64", "minstd_rand",
+      "minstd_rand0", "ranlux24", "ranlux48", "default_random_engine"};
+  return engines.count(name) > 0;
 }
 
 /// One statement inside a function scope as a token-index range
@@ -256,13 +261,6 @@ void rule_unseeded_rng(const std::string& path, const Unit& unit,
 }
 
 }  // namespace
-
-bool is_rng_engine_type(const std::string& name) {
-  static const std::set<std::string> engines = {
-      "Rng",          "mt19937", "mt19937_64", "minstd_rand",
-      "minstd_rand0", "ranlux24", "ranlux48", "default_random_engine"};
-  return engines.count(name) > 0;
-}
 
 std::vector<Diagnostic> dataflow_rules(const std::string& path,
                                        const Unit& unit) {

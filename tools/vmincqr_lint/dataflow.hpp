@@ -35,10 +35,4 @@ namespace vmincqr::lint {
 std::vector<Diagnostic> dataflow_rules(const std::string& path,
                                        const Unit& unit);
 
-/// True for type names whose construction consumes an RNG seed (`Rng`, the
-/// std engines). Shared between the dataflow rules (seed-reuse,
-/// unseeded-rng) and the phase-3 concurrency rules (rng-in-parallel) so the
-/// two phases agree on what an RNG is.
-bool is_rng_engine_type(const std::string& name);
-
 }  // namespace vmincqr::lint

@@ -1,16 +1,8 @@
 #include "fix.hpp"
 
 #include <cstddef>
-#include <map>
-#include <sstream>
 #include <vector>
 
-#include <algorithm>
-
-#include "callgraph.hpp"
-#include "concurrency.hpp"
-#include "hotpath.hpp"
-#include "parse.hpp"
 #include "token.hpp"
 
 namespace vmincqr::lint {
@@ -62,10 +54,11 @@ std::string fix_pragma_once(const std::string& content) {
     (void)line;
     if (text == "#pragma once") return content;
   }
-  if (!unit.directives.empty() && is_allowed(unit, "pragma-once",
-                                             unit.directives.front().first)) {
-    return content;
-  }
+  // Honour allow() on the line the rule reports, so a tree that lints clean
+  // is a fixed point of --fix.
+  const std::size_t report_line =
+      unit.directives.empty() ? 1 : unit.directives.front().first;
+  if (is_allowed(unit, "pragma-once", report_line)) return content;
   // Skip the leading run of full-line comments and blank lines.
   std::size_t pos = 0;
   while (pos < content.size()) {
@@ -101,403 +94,11 @@ std::string fix_pragma_once(const std::string& content) {
   return content.substr(0, pos) + "#pragma once\n" + content.substr(pos);
 }
 
-const std::map<std::string, std::string>& sorted_counterpart() {
-  static const std::map<std::string, std::string> m = {
-      {"unordered_map", "map"},
-      {"unordered_set", "set"},
-      {"unordered_multimap", "multimap"},
-      {"unordered_multiset", "multiset"}};
-  return m;
-}
-
-/// Rewrites every std::unordered_{map,set,...} in the TU to its sorted
-/// counterpart — declarations, temporaries, and the matching #include lines
-/// — when the TU carries at least one live (non-allowed) unordered-iteration
-/// finding. The swap is TU-wide because a declaration must flip for any
-/// iteration over it to become ordered. It is skipped wholesale when any
-/// unordered type passes extra template arguments (a custom hasher or
-/// equality has no sorted equivalent; that finding stays diagnose-only).
-std::string fix_unordered_iteration(const std::string& path,
-                                    const std::string& content) {
-  const Unit unit = tokenize(content);
-  bool live = false;
-  for (const auto& d : concurrency_rules(path, unit)) {
-    if (d.rule == "unordered-iteration" && !is_allowed(unit, d.rule, d.line)) {
-      live = true;
-      break;
-    }
-  }
-  if (!live) return content;
-
-  const auto& t = unit.tokens;
-  struct Span {
-    std::size_t begin;
-    std::size_t end;
-    const std::string* replacement;
-  };
-  std::vector<Span> spans;
-  for (std::size_t i = 0; i < t.size(); ++i) {
-    if (t[i].kind != TokKind::kIdent) continue;
-    const auto it = sorted_counterpart().find(t[i].text);
-    if (it == sorted_counterpart().end()) continue;
-    // Count top-level commas in the template argument list: more than one
-    // for a map (Key, Value) or more than zero for a set (Key) means a
-    // custom hasher — not mechanically rewritable, bail on the whole TU.
-    if (i + 1 < t.size() && t[i + 1].text == "<") {
-      int depth = 0;
-      std::size_t commas = 0;
-      for (std::size_t j = i + 1; j < t.size(); ++j) {
-        const std::string& x = t[j].text;
-        if (x == "<" || x == "(" || x == "[" || x == "{") ++depth;
-        if (x == ">" || x == ")" || x == "]" || x == "}") {
-          if (--depth == 0) break;
-        }
-        if (x == "," && depth == 1) ++commas;
-      }
-      const bool is_map = t[i].text == "unordered_map" ||
-                          t[i].text == "unordered_multimap";
-      if (commas > (is_map ? 1u : 0u)) return content;
-    }
-    spans.push_back({t[i].offset, t[i].offset + t[i].text.size(), &it->second});
-  }
-
-  std::string out;
-  out.reserve(content.size());
-  std::size_t pos = 0;
-  for (const Span& span : spans) {
-    out += content.substr(pos, span.begin - pos);
-    out += *span.replacement;
-    pos = span.end;
-  }
-  out += content.substr(pos);
-
-  // The include directives are not tokens; rewrite them line by line.
-  std::istringstream in(out);
-  std::ostringstream rewritten;
-  std::string line;
-  bool first = true;
-  while (std::getline(in, line)) {
-    if (!first) rewritten << '\n';
-    first = false;
-    std::size_t probe = line.find_first_not_of(" \t");
-    if (probe != std::string::npos && line.compare(probe, 1, "#") == 0) {
-      for (const auto& [unordered, sorted] : sorted_counterpart()) {
-        const std::string from = "<" + unordered + ">";
-        const std::size_t at = line.find(from);
-        if (at != std::string::npos) {
-          line.replace(at, from.size(), "<" + sorted + ">");
-        }
-      }
-    }
-    rewritten << line;
-  }
-  if (!out.empty() && out.back() == '\n') rewritten << '\n';
-  return rewritten.str();
-}
-
-/// The visible trip count of a for-loop head, as a reserve expression:
-/// `x.size()` / `x.rows()` / `x.cols()` when the head compares against one,
-/// `xs.size()` for a range-for over a plain identifier. Returns "" when the
-/// bound is not mechanically derivable; `receiver` names the bounding
-/// container so callers can refuse self-referential reserves.
-std::string head_bound(const std::vector<Token>& t, std::size_t head_open,
-                       std::size_t head_close, std::string* receiver) {
-  for (std::size_t k = head_open + 1; k + 2 < head_close; ++k) {
-    if (t[k].text == "." &&
-        (t[k + 1].text == "rows" || t[k + 1].text == "size" ||
-         t[k + 1].text == "cols") &&
-        t[k + 2].text == "(" && t[k - 1].kind == TokKind::kIdent) {
-      *receiver = t[k - 1].text;
-      return t[k - 1].text + "." + t[k + 1].text + "()";
-    }
-  }
-  const int inner = t[head_open].paren_depth + 1;
-  for (std::size_t k = head_open + 1; k < head_close; ++k) {
-    if (t[k].text != ":" || t[k].paren_depth != inner) continue;
-    if (k + 2 == head_close && t[k + 1].kind == TokKind::kIdent) {
-      *receiver = t[k + 1].text;
-      return t[k + 1].text + ".size()";
-    }
-    break;
-  }
-  return "";
-}
-
-/// Inserts `name.reserve(bound);` before a for-loop that grows a locally
-/// declared, empty, never-reserved heavy container via push_back when the
-/// loop head makes the trip count visible (the missed-reserve rule's exact
-/// precondition, minus the hot-path gate: a derivable reserve is a safe win
-/// anywhere). Idempotent — the inserted reserve marks the container presized
-/// on the next run.
-std::string fix_insert_reserve(const std::string& content) {
-  const Unit unit = tokenize(content);
-  const auto& t = unit.tokens;
-  struct Insert {
-    std::size_t at;
-    std::string text;
-  };
-  std::vector<Insert> inserts;
-  for (const FunctionDef& d : extract_definitions(unit)) {
-    if (d.body_last >= t.size()) continue;
-    // Locally declared heavy containers: name -> presized, plus where the
-    // declaration sits (a reserve only helps containers declared before the
-    // loop).
-    std::map<std::string, bool> presized;
-    std::map<std::string, std::size_t> decl_at;
-    for (std::size_t i = d.body_first + 1; i < d.body_last; ++i) {
-      if (!heavy_type_at(t, i)) continue;
-      const std::size_t nx = after_template_args(t, i);
-      if (nx >= d.body_last || t[nx].kind != TokKind::kIdent) continue;
-      if (nx + 1 >= d.body_last) continue;
-      const std::string& after = t[nx + 1].text;
-      if (after == "(" || after == "{") {
-        presized[t[nx].text] = match_forward(t, nx + 1) > nx + 2;
-        decl_at[t[nx].text] = nx;
-      } else if (after == "=") {
-        presized[t[nx].text] = true;
-      } else if (after == ";") {
-        presized[t[nx].text] = false;
-        decl_at[t[nx].text] = nx;
-      }
-    }
-    for (std::size_t i = d.body_first + 1; i + 3 < d.body_last; ++i) {
-      if (t[i].kind != TokKind::kIdent) continue;
-      const auto it = presized.find(t[i].text);
-      if (it == presized.end()) continue;
-      if ((t[i + 1].text == "." || t[i + 1].text == "->") &&
-          (t[i + 2].text == "reserve" || t[i + 2].text == "resize" ||
-           t[i + 2].text == "assign") &&
-          t[i + 3].text == "(") {
-        it->second = true;
-      }
-    }
-    // Spans of every loop body in the definition: a reserve is only
-    // inserted before a loop with no enclosing loop — when the container
-    // accumulates across an outer loop's iterations, a per-iteration
-    // reserve of the inner bound is misleading noise.
-    std::vector<std::pair<std::size_t, std::size_t>> loop_bodies;
-    for (std::size_t i = d.body_first + 1; i < d.body_last; ++i) {
-      if (t[i].kind != TokKind::kIdent) continue;
-      std::size_t begin;
-      if (t[i].text == "for" || t[i].text == "while") {
-        if (i + 1 >= d.body_last || t[i + 1].text != "(") continue;
-        begin = match_forward(t, i + 1) + 1;
-      } else if (t[i].text == "do") {
-        begin = i + 1;
-      } else {
-        continue;
-      }
-      if (begin >= d.body_last) continue;
-      std::size_t end;
-      if (t[begin].text == "{") {
-        end = std::min(match_forward(t, begin), d.body_last);
-      } else {
-        end = begin;
-        int depth = 0;
-        while (end < d.body_last) {
-          const std::string& x = t[end].text;
-          if (x == "(" || x == "[" || x == "{") ++depth;
-          if (x == ")" || x == "]" || x == "}") --depth;
-          if (x == ";" && depth == 0) break;
-          ++end;
-        }
-      }
-      loop_bodies.emplace_back(begin, end);
-    }
-    for (std::size_t i = d.body_first + 1; i < d.body_last; ++i) {
-      if (t[i].kind != TokKind::kIdent || t[i].text != "for") continue;
-      if (i + 1 >= d.body_last || t[i + 1].text != "(") continue;
-      bool enclosed = false;
-      for (const auto& lb : loop_bodies) {
-        if (lb.first <= i && i < lb.second) {
-          enclosed = true;
-          break;
-        }
-      }
-      if (enclosed) continue;
-      const std::size_t head_open = i + 1;
-      const std::size_t head_close = match_forward(t, head_open);
-      if (head_close + 1 >= d.body_last) continue;
-      std::string receiver;
-      const std::string bound = head_bound(t, head_open, head_close,
-                                           &receiver);
-      if (bound.empty()) continue;
-      std::size_t body_begin = head_close + 1;
-      std::size_t body_end;
-      if (t[body_begin].text == "{") {
-        body_end = std::min(match_forward(t, body_begin), d.body_last);
-        ++body_begin;
-      } else {
-        body_end = body_begin;
-        int depth = 0;
-        while (body_end < d.body_last) {
-          const std::string& x = t[body_end].text;
-          if (x == "(" || x == "[" || x == "{") ++depth;
-          if (x == ")" || x == "]" || x == "}") --depth;
-          if (x == ";" && depth == 0) break;
-          ++body_end;
-        }
-      }
-      for (std::size_t k = body_begin; k < body_end; ++k) {
-        if (t[k].text != "push_back" && t[k].text != "emplace_back") continue;
-        // Growth inside a nested loop is bounded by that loop, not this
-        // head: reserving the outer bound would under-reserve.
-        bool in_nested_loop = false;
-        for (const auto& lb : loop_bodies) {
-          if (lb.first > head_close + 1 && lb.first <= k && k < lb.second) {
-            in_nested_loop = true;
-            break;
-          }
-        }
-        if (in_nested_loop) continue;
-        if (k < 2 || (t[k - 1].text != "." && t[k - 1].text != "->")) continue;
-        if (k + 1 >= d.body_last || t[k + 1].text != "(") continue;
-        if (t[k - 2].kind != TokKind::kIdent) continue;
-        const std::string& name = t[k - 2].text;
-        const auto local = presized.find(name);
-        if (local == presized.end() || local->second) continue;
-        const auto decl = decl_at.find(name);
-        if (decl == decl_at.end() || decl->second >= i) continue;
-        if (name == receiver) continue;  // reserve(out.size()) is circular
-        if (is_allowed(unit, "missed-reserve", t[k].line)) continue;
-        // Insert at the start of the `for` line, mirroring its indentation.
-        std::size_t line_start = t[i].offset;
-        while (line_start > 0 && content[line_start - 1] != '\n') {
-          --line_start;
-        }
-        const std::string indent =
-            content.substr(line_start, t[i].offset - line_start);
-        if (indent.find_first_not_of(" \t") != std::string::npos) continue;
-        inserts.push_back(
-            {line_start, indent + name + ".reserve(" + bound + ");\n"});
-        local->second = true;  // one reserve per container
-      }
-    }
-  }
-  std::stable_sort(inserts.begin(), inserts.end(),
-                   [](const Insert& a, const Insert& b) {
-                     return a.at < b.at;
-                   });
-  std::string out;
-  out.reserve(content.size());
-  std::size_t pos = 0;
-  for (const Insert& ins : inserts) {
-    out += content.substr(pos, ins.at - pos);
-    out += ins.text;
-    pos = ins.at;
-  }
-  out += content.substr(pos);
-  return out;
-}
-
-/// Rewrites never-mutated by-value heavy parameters to const references.
-/// Header definitions only (the caller gates on .hpp): an out-of-line .cpp
-/// definition must keep matching its header declaration, and a
-/// virtual/override signature must change in lockstep with its base, so
-/// both stay diagnose-only.
-std::string fix_pass_by_value(const std::string& content) {
-  const Unit unit = tokenize(content);
-  const auto& t = unit.tokens;
-  struct Insert {
-    std::size_t at;
-    std::string text;
-  };
-  std::vector<Insert> inserts;
-  for (const FunctionDef& d : extract_definitions(unit)) {
-    if (d.body_last >= t.size() || d.params_open >= t.size()) continue;
-    if (is_allowed(unit, "heavy-pass-by-value", d.line)) continue;
-    const std::size_t params_close = match_forward(t, d.params_open);
-    if (params_close >= t.size()) continue;
-    bool pinned_signature = false;
-    for (std::size_t k = params_close; k < d.body_first; ++k) {
-      if (t[k].text == "override" || t[k].text == "final") {
-        pinned_signature = true;
-      }
-    }
-    for (std::size_t k = d.params_open; k-- > 0;) {
-      const std::string& x = t[k].text;
-      if (x == ";" || x == "{" || x == "}") break;
-      if (x == "virtual") {
-        pinned_signature = true;
-        break;
-      }
-    }
-    if (pinned_signature) continue;
-    // Walk the parameter-list segments tracking token positions (the
-    // analyzer's heavy_value_params yields names only).
-    std::size_t seg_first = d.params_open + 1;
-    int depth = 0;
-    int angle = 0;
-    auto rewrite = [&](std::size_t seg_last) {
-      std::size_t type_tok = t.size();
-      bool indirect = false;
-      bool has_const = false;
-      std::size_t eq = seg_last;
-      for (std::size_t k = seg_first; k < seg_last; ++k) {
-        if (t[k].text == "&" || t[k].text == "*") indirect = true;
-        if (t[k].text == "const") has_const = true;
-        if (t[k].text == "=" && eq == seg_last) eq = k;
-        if (type_tok == t.size() && heavy_type_at(t, k)) type_tok = k;
-      }
-      if (type_tok == t.size() || indirect) return;
-      std::string name;
-      for (std::size_t k = seg_first; k < eq; ++k) {
-        if (t[k].kind == TokKind::kIdent) name = t[k].text;
-      }
-      if (name.empty() || name == t[type_tok].text || name == "Matrix" ||
-          name == "Vector" || name == "vector" || name == "string") {
-        return;
-      }
-      if (param_mutated(t, d.body_first, d.body_last, name)) return;
-      // `std::vector<double> xs` -> `const std::vector<double>& xs`: const
-      // goes before the qualifier chain, '&' right after the template args.
-      std::size_t type_start = type_tok;
-      while (type_start >= 2 && t[type_start - 1].text == "::" &&
-             t[type_start - 2].kind == TokKind::kIdent) {
-        type_start -= 2;
-      }
-      const std::size_t type_end = after_template_args(t, type_tok) - 1;
-      if (!has_const) inserts.push_back({t[type_start].offset, "const "});
-      inserts.push_back(
-          {t[type_end].offset + t[type_end].text.size(), "&"});
-    };
-    for (std::size_t k = d.params_open + 1; k < params_close; ++k) {
-      const std::string& x = t[k].text;
-      if (x == "(" || x == "[" || x == "{") ++depth;
-      if (x == ")" || x == "]" || x == "}") --depth;
-      if (x == "<" && k > 0 && t[k - 1].kind == TokKind::kIdent) ++angle;
-      if (x == ">" && angle > 0) --angle;
-      if (x == "," && depth == 0 && angle == 0) {
-        rewrite(k);
-        seg_first = k + 1;
-      }
-    }
-    rewrite(params_close);
-  }
-  std::stable_sort(inserts.begin(), inserts.end(),
-                   [](const Insert& a, const Insert& b) {
-                     return a.at < b.at;
-                   });
-  std::string out;
-  out.reserve(content.size());
-  std::size_t pos = 0;
-  for (const Insert& ins : inserts) {
-    out += content.substr(pos, ins.at - pos);
-    out += ins.text;
-    pos = ins.at;
-  }
-  out += content.substr(pos);
-  return out;
-}
-
 }  // namespace
 
 std::string apply_fixes(const std::string& path, const std::string& content) {
   std::string out = fix_no_endl(content);
   if (is_header_path(path)) out = fix_pragma_once(out);
-  out = fix_unordered_iteration(path, out);
-  out = fix_insert_reserve(out);
-  if (is_header_path(path)) out = fix_pass_by_value(out);
   return out;
 }
 

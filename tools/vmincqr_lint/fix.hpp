@@ -5,24 +5,9 @@
 //   * no-endl      — `std::endl` (or a bare `endl`) becomes `"\n"`.
 //   * pragma-once  — a header missing `#pragma once` gains it after the
 //                    leading comment block.
-//   * unordered-iteration — when the TU has a live finding, every
-//                    std::unordered_{map,set,multimap,multiset} (and the
-//                    matching includes) becomes its sorted counterpart.
-//                    Skipped wholesale when any unordered type carries extra
-//                    template arguments (custom hasher/equality) — the swap
-//                    is only mechanical for the default-hash forms.
-//   * missed-reserve — a for-loop growing a locally declared, empty,
-//                    never-reserved heavy container via push_back, with a
-//                    visible `.size()/.rows()/.cols()` (or range-for) trip
-//                    count, gains `name.reserve(bound);` on the line before
-//                    the loop.
-//   * heavy-pass-by-value — a Matrix/Vector/std::vector/std::string
-//                    parameter taken by value and never mutated or moved
-//                    becomes a const reference. Headers only: rewriting an
-//                    out-of-line .cpp definition would break its match with
-//                    the header declaration, so those findings stay
-//                    diagnose-only. Virtual/override signatures are skipped
-//                    too — the base declaration must change in lockstep.
+//
+// Each rewriter acts only where its rule reports and honours allow(), so a
+// tree the linter passes is already a fixed point of --fix.
 //
 // Fixes are idempotent: applying them to already-fixed text is a no-op.
 #pragma once

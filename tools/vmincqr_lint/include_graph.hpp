@@ -1,10 +1,10 @@
-// Phase-1 preprocessor-aware include-graph analysis over a file set.
+// Pass-1 preprocessor-aware include-graph analysis over a file set.
 //
 // Three rules:
 //   * layer-violation — the declared layering DAG (layers.toml) is the
 //     architecture; an include edge not on it is a cross-layer shortcut.
 //     The load-bearing constraint for this repo: `conformal` must never
-//     include the silicon/netlist/testgen substrates, or the statistical
+//     include the silicon/netlist substrates, or the statistical
 //     layer grows a hidden dependency on the simulator it is meant to audit.
 //   * include-cycle — a cycle among project headers (pragma once hides it
 //     at compile time until a reordering breaks the build).
@@ -49,7 +49,7 @@ struct SourceFile {
 /// all other edges must be listed under [allow]. Unmapped files are exempt
 /// from the layering rule but still participate in cycle/IWYU analysis.
 ///
-/// [call_forbidden] feeds the phase-4 call-level layering rule
+/// [call_forbidden] feeds the pass-3 call-level layering rule
 /// (call-layer-violation, callgraph.hpp): functions in the listed module
 /// must not transitively *call* any symbol with one of the listed names,
 /// even when every include edge is legal.

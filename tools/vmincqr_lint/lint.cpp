@@ -7,7 +7,6 @@
 #include <stdexcept>
 #include <tuple>
 
-#include "concurrency.hpp"
 #include "core/experiment.hpp"
 #include "dataflow.hpp"
 #include "token.hpp"
@@ -261,6 +260,91 @@ void rule_raw_thread(const Ctx& ctx) {
   }
 }
 
+/// True when one of `path`'s directory components equals `dir`. Component
+/// match (not substring) so a checkout under e.g. /home/toolsmith/ does not
+/// exempt everything.
+bool in_dir(const std::string& path, const std::string& dir) {
+  std::size_t start = 0;
+  while (start <= path.size()) {
+    const std::size_t slash = path.find('/', start);
+    const std::size_t end = slash == std::string::npos ? path.size() : slash;
+    if (path.compare(start, end - start, dir) == 0 && end != path.size()) {
+      return true;  // a directory component, not the file name itself
+    }
+    if (slash == std::string::npos) break;
+    start = slash + 1;
+  }
+  return false;
+}
+
+/// clock-in-hot-path: wall-clock reads outside bench/ and tools/. Timing must
+/// never steer library results, so measurement lives in the harnesses.
+void rule_clock_in_hot_path(const Ctx& ctx) {
+  if (in_dir(ctx.path, "bench") || in_dir(ctx.path, "tools")) return;
+  static const std::set<std::string> clocks = {
+      "steady_clock",  "system_clock",  "high_resolution_clock",
+      "file_clock",    "utc_clock",     "clock_gettime",
+      "gettimeofday",  "timespec_get"};
+  for (const Token& tok : ctx.unit.tokens) {
+    if (tok.kind == TokKind::kIdent && clocks.count(tok.text) > 0) {
+      ctx.report("clock-in-hot-path", tok.line,
+                 "wall-clock read ('" + tok.text +
+                     "') outside bench/ and tools/; timing must never steer "
+                     "library results (move measurement into bench/)");
+    }
+  }
+}
+
+/// atomic-outside-parallel: <atomic>/<mutex>-family includes, and atomic or
+/// lock names used unqualified, outside src/parallel/. Closes the gap
+/// raw-thread leaves: it only sees `std::`-qualified names.
+void rule_atomic_outside_parallel(const Ctx& ctx) {
+  if (ctx.path.find("parallel/") != std::string::npos) return;  // as raw-thread
+
+  static const std::set<std::string> banned_headers = {
+      "atomic",    "mutex",  "shared_mutex", "thread",
+      "future",    "condition_variable",     "semaphore",
+      "latch",     "barrier", "stop_token"};
+  for (const auto& [line, text] : ctx.unit.directives) {
+    if (text.rfind("#include", 0) != 0) continue;
+    const std::size_t lt = text.find('<');
+    const std::size_t gt = text.find('>');
+    if (lt == std::string::npos || gt == std::string::npos || gt <= lt) {
+      continue;
+    }
+    const std::string header = text.substr(lt + 1, gt - lt - 1);
+    if (banned_headers.count(header) > 0) {
+      ctx.report("atomic-outside-parallel", line,
+                 "#include <" + header + "> outside src/parallel/; threading "
+                 "primitives live behind the deterministic pool "
+                 "(parallel/parallel_for.hpp) so the bit-exactness contract "
+                 "stays auditable in one directory");
+    }
+  }
+
+  // Unqualified uses slip past raw-thread, which only sees `std::`-qualified
+  // names (e.g. after a `using std::atomic;`).
+  static const std::set<std::string> unqualified = {
+      "atomic_flag",  "atomic_ref",  "atomic_thread_fence",
+      "atomic_signal_fence", "atomic_load", "atomic_store",
+      "atomic_exchange",     "atomic_fetch_add", "atomic_fetch_sub",
+      "atomic_compare_exchange_weak", "atomic_compare_exchange_strong",
+      "lock_guard",   "scoped_lock", "unique_lock", "shared_lock"};
+  const auto& t = ctx.unit.tokens;
+  for (std::size_t i = 0; i < t.size(); ++i) {
+    if (t[i].kind != TokKind::kIdent) continue;
+    if (i > 0 && t[i - 1].text == "::") continue;  // raw-thread's territory
+    const bool hit =
+        unqualified.count(t[i].text) > 0 ||
+        (t[i].text == "atomic" && i + 1 < t.size() && t[i + 1].text == "<");
+    if (!hit) continue;
+    ctx.report("atomic-outside-parallel", t[i].line,
+               "unqualified '" + t[i].text +
+                   "' outside src/parallel/; threading primitives live behind "
+                   "the deterministic pool (parallel/parallel_for.hpp)");
+  }
+}
+
 }  // namespace
 
 const std::vector<RuleInfo>& rule_table() {
@@ -290,19 +374,6 @@ const std::vector<RuleInfo>& rule_table() {
       {"raw-thread",
        "raw std::thread/std::async/std::atomic only inside src/parallel/; "
        "all other code uses the deterministic pool"},
-      {"shared-mutable-capture",
-       "no unindexed writes to by-reference captures inside parallel bodies; "
-       "concurrent chunks race on shared state"},
-      {"nondeterministic-reduce",
-       "no accumulation into by-reference captures inside parallel bodies; "
-       "reductions go through parallel_deterministic_reduce's fixed-order "
-       "combine"},
-      {"rng-in-parallel",
-       "RNGs inside parallel bodies must be forked per chunk; otherwise the "
-       "stream order depends on the schedule"},
-      {"unordered-iteration",
-       "no iteration over std::unordered_{map,set}; hash order is not "
-       "reproducible across platforms or loads"},
       {"clock-in-hot-path",
        "wall-clock reads only in bench/ and tools/; timing must never steer "
        "library results"},
@@ -327,9 +398,6 @@ const std::vector<RuleInfo>& graph_rule_table() {
 
 const std::vector<RuleInfo>& callgraph_rule_table() {
   static const std::vector<RuleInfo> table = {
-      {"mutable-static-in-parallel",
-       "no non-const function-local statics in functions reachable from "
-       "parallel bodies; concurrent chunks race on their state"},
       {"call-layer-violation",
        "modules listed in layers.toml [call_forbidden] must not transitively "
        "call the named training symbols, even through legal includes"},
@@ -350,56 +418,11 @@ const std::vector<RuleInfo>& callgraph_rule_table() {
   return table;
 }
 
-const std::vector<RuleInfo>& hotpath_rule_table() {
-  static const std::vector<RuleInfo> table = {
-      {"alloc-in-hot-loop",
-       "no heavy container construction or unreserved growth inside loops "
-       "(incl. parallel bodies) of serve/predict-reachable functions; hoist "
-       "the buffer or grant hot-path(allow-alloc) via the manifest"},
-      {"heavy-pass-by-value",
-       "Matrix/Vector/std::vector/std::string parameters of hot-reachable "
-       "functions must not be copied by value when never mutated or moved; "
-       "take const references"},
-      {"temporary-materialization",
-       "a freshly materialized container (row/col/take_*/row_block) must "
-       "not be immediately indexed or reduced; read through the source "
-       "container instead of copying it"},
-      {"missed-reserve",
-       "push_back growth loops with a visible .rows()/.size()/.cols() trip "
-       "count must reserve first; the call is mechanically derivable and "
-       "--fix inserts it"},
-      {"virtual-in-inner-loop",
-       "no virtual dispatch inside innermost loops of hot functions; "
-       "per-element indirect calls block inlining and vectorization — batch "
-       "or devirtualize"},
-      {"hot-path-manifest",
-       "every hot-path(allow-alloc) annotation must be mirrored in the "
-       "committed hot-path manifest, and the manifest must carry no stale "
-       "entries"},
-  };
-  return table;
-}
-
 std::vector<Diagnostic> lint_source(const std::string& path,
-                                    const std::string& content,
-                                    const LintPhases& phases) {
+                                    const std::string& content) {
   const Unit unit = tokenize(content);
   std::vector<Diagnostic> raw;
   Ctx ctx{path, unit, is_header(path), raw};
-  if (!phases.per_tu) {
-    if (phases.concurrency) {
-      for (auto& d : concurrency_rules(path, unit)) raw.push_back(std::move(d));
-    }
-    std::vector<Diagnostic> kept;
-    for (auto& d : raw) {
-      if (!is_allowed(unit, d.rule, d.line)) kept.push_back(std::move(d));
-    }
-    std::stable_sort(kept.begin(), kept.end(),
-                     [](const Diagnostic& a, const Diagnostic& b) {
-                       return a.line < b.line;
-                     });
-    return kept;
-  }
   rule_pragma_once(ctx);
   rule_using_namespace(ctx);
   rule_no_rand(ctx);
@@ -409,10 +432,9 @@ std::vector<Diagnostic> lint_source(const std::string& path,
   rule_matrix_by_value(ctx);
   rule_contract_coverage(ctx);
   rule_raw_thread(ctx);
+  rule_clock_in_hot_path(ctx);
+  rule_atomic_outside_parallel(ctx);
   for (auto& d : dataflow_rules(path, unit)) raw.push_back(std::move(d));
-  if (phases.concurrency) {
-    for (auto& d : concurrency_rules(path, unit)) raw.push_back(std::move(d));
-  }
 
   // Apply per-line suppressions: same line or the line directly above.
   std::vector<Diagnostic> kept;
@@ -426,24 +448,22 @@ std::vector<Diagnostic> lint_source(const std::string& path,
   return kept;
 }
 
-std::vector<Diagnostic> lint_file(const std::string& path,
-                                  const LintPhases& phases) {
+std::vector<Diagnostic> lint_file(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
   if (!in) throw std::runtime_error("vmincqr_lint: cannot read " + path);
   std::ostringstream ss;
   ss << in.rdbuf();
-  return lint_source(path, ss.str(), phases);
+  return lint_source(path, ss.str());
 }
 
-std::vector<Diagnostic> lint_files(const std::vector<std::string>& paths,
-                                   const LintPhases& phases) {
+std::vector<Diagnostic> lint_files(const std::vector<std::string>& paths) {
   // Dogfood the deterministic pool: one task per TU. Each task is a pure
   // function of its file, and the final order is a total sort, so the
   // merged diagnostics are byte-identical at every thread width (asserted
   // by the SARIF invariance test).
   const auto per_file = core::parallel_map<std::vector<Diagnostic>>(
       paths.size(),
-      [&](std::size_t i) { return lint_file(paths[i], phases); });
+      [&](std::size_t i) { return lint_file(paths[i]); });
   std::vector<Diagnostic> out;
   for (const auto& ds : per_file) out.insert(out.end(), ds.begin(), ds.end());
   std::sort(out.begin(), out.end(),

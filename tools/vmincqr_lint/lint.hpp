@@ -9,16 +9,15 @@
 // C++ rules, so they live here (no libclang dependency; the whole tool
 // builds in well under a second).
 //
-// Three phases:
+// Three passes, selected with `--phase=`:
 //   1. include-graph (include_graph.hpp) — layering DAG, cycle detection,
 //      IWYU-lite unused includes. Cross-file; runs when a directory is
 //      linted.
 //   2. per-TU — the token rules below plus the statistical-validity
 //      dataflow rules (dataflow.hpp) over a statement/call view with local
 //      symbol taint tracking.
-//   3. concurrency & determinism (concurrency.hpp) — a lambda/capture parse
-//      over parallel_for/parallel_deterministic_reduce call sites that
-//      enforces the src/parallel/ determinism contract statically.
+//   3. call graph (callgraph.hpp) — call-level layering (serve never reaches
+//      fit) and the numeric-safety tiers. Cross-file, like pass 1.
 //
 // Suppression: append `// vmincqr-lint: allow(<rule-id>)` to the offending
 // line, or place it alone on the line above. Several ids may be listed,
@@ -45,48 +44,29 @@ struct RuleInfo {
 /// one of these.
 const std::vector<RuleInfo>& rule_table();
 
-/// Cross-file include-graph rules (phase 1). Separate table because these
-/// need the whole file set, not one TU; `--rules` prints both.
+/// Cross-file include-graph rules (pass 1). Separate table because these
+/// need the whole file set, not one TU; `--rules` prints every table.
 const std::vector<RuleInfo>& graph_rule_table();
 
-/// Cross-TU call-graph rules (phase 4, callgraph.hpp). Third table for the
-/// same reason as the graph table: these need the whole file set. The
-/// transitive rng-in-parallel findings reuse the phase-3 rule id, so it is
-/// deliberately absent here.
+/// Cross-TU call-graph rules (pass 3, callgraph.hpp). Third table for the
+/// same reason as the graph table: these need the whole file set.
 const std::vector<RuleInfo>& callgraph_rule_table();
-
-/// Hot-path allocation & copy rules (phase 5, hotpath.hpp). Fourth table:
-/// these run over the serve-reachable and predict-reachable cones of the
-/// phase-4 call graph, so they also need the whole file set.
-const std::vector<RuleInfo>& hotpath_rule_table();
-
-/// Which per-TU phases run. Phase 1 (include graph) and phase 4 (call
-/// graph) operate on the whole file set and are selected by the driver;
-/// phases 2 and 3 are gated here so `--phase=` can slice them apart and so
-/// the tests/bench tier-1 run can drop the style phase.
-struct LintPhases {
-  bool per_tu = true;       // phase 2: token + dataflow rules
-  bool concurrency = true;  // phase 3: concurrency & determinism rules
-};
 
 /// Lints one translation unit given its contents (the unit-testable core).
 /// `path` is used for diagnostics and to decide header-only rules (.hpp).
 /// Runs the token rules and the dataflow rules; include-graph analysis is
 /// separate (include_graph.hpp).
 std::vector<Diagnostic> lint_source(const std::string& path,
-                                    const std::string& content,
-                                    const LintPhases& phases = {});
+                                    const std::string& content);
 
 /// Reads `path` and lints it. Throws std::runtime_error if unreadable.
-std::vector<Diagnostic> lint_file(const std::string& path,
-                                  const LintPhases& phases = {});
+std::vector<Diagnostic> lint_file(const std::string& path);
 
 /// Lints many files, one pool task per TU (core::parallel_map — the linter
 /// dogfoods the deterministic pool it polices). The result is globally
 /// sorted by (file, line, rule, message), so output is byte-identical at
 /// every thread width.
-std::vector<Diagnostic> lint_files(const std::vector<std::string>& paths,
-                                   const LintPhases& phases = {});
+std::vector<Diagnostic> lint_files(const std::vector<std::string>& paths);
 
 /// True for files the linter understands (.hpp / .cpp).
 bool is_lintable(const std::string& path);

@@ -7,36 +7,27 @@
 //   --rules               print all three rule tables and exit
 //   --format=text|sarif   output format (default text)
 //   --layers=FILE         layering DAG config; enables the layer-violation
-//                         rule (phase 1) and seeds the call-level layering
-//                         rule (phase 4) for directory arguments
+//                         rule (pass 1) and seeds the call-level layering
+//                         rule (pass 3) for directory arguments
 //   --include-root=DIR    root against which quoted includes resolve for the
 //                         cross-file passes (default: first directory arg)
-//   --phase=LIST          comma list of phases to run (default 1,2,3,4,5):
+//   --phase=LIST          comma list of passes to run (default 1,2,3):
 //                         1 include-graph, 2 per-TU token+dataflow,
-//                         3 concurrency, 4 cross-TU call graph,
-//                         5 hot-path allocation & copy analyzer
-//   --tier-manifest=FILE  numeric-tier manifest for the phase-4
+//                         3 cross-TU call graph
+//   --tier-manifest=FILE  numeric-tier manifest for the pass-3
 //                         numeric-tier-manifest rule (default: no manifest,
 //                         so any tolerance annotation is a finding)
-//   --hotpath-manifest=FILE
-//                         hot-path allow-alloc manifest for the phase-5
-//                         hot-path-manifest rule (default: no manifest, so
-//                         any allow-alloc annotation is a finding)
-//   --hotpath-report=FILE write the phase-5 per-function cost table
-//                         (alloc sites, copy sites, loop depth) as JSON
-//   --callgraph=FILE      write the phase-4 call graph as Graphviz DOT
 //   --skip=LIST           drop findings for these rule ids (validated)
 //   --only=LIST           keep only findings for these rule ids (validated)
 //   --exclude=SUBSTR      drop collected files whose path contains SUBSTR
 //                         (repeatable; e.g. --exclude=lint_fixtures)
 //   --fix                 apply the mechanically safe fixes (no-endl,
-//                         pragma-once, unordered→sorted container rewrite)
-//                         in place, then re-lint
+//                         pragma-once) in place, then re-lint
 //   --budget-ms=N         fail (exit 1) if the whole run exceeds N ms — the
 //                         semantic pass must never slow the tier-1 suite
 //
-// The cross-file passes (1, 4, and 5) run whenever at least one argument is
-// a directory (or --include-root is given); per-TU rules always run.
+// The cross-file passes (1 and 3) run only when at least one argument is a
+// directory (or --include-root is given); the per-TU pass needs neither.
 //
 // Exit status: 0 when clean, 1 on any diagnostic (or blown budget), 2 on
 // usage/IO errors.
@@ -53,7 +44,6 @@
 
 #include "callgraph.hpp"
 #include "fix.hpp"
-#include "hotpath.hpp"
 #include "include_graph.hpp"
 #include "lint.hpp"
 #include "numeric.hpp"
@@ -87,10 +77,9 @@ std::string read_file(const std::string& path) {
 int usage() {
   std::fprintf(stderr,
                "usage: vmincqr_lint [--rules] [--format=text|sarif] "
-               "[--layers=FILE] [--include-root=DIR] [--phase=1,2,3,4,5] "
-               "[--tier-manifest=FILE] [--hotpath-manifest=FILE] "
-               "[--hotpath-report=FILE] [--callgraph=FILE] [--skip=LIST] "
-               "[--only=LIST] [--exclude=SUBSTR]... [--fix] "
+               "[--layers=FILE] [--include-root=DIR] [--phase=1,2,3] "
+               "[--tier-manifest=FILE] [--skip=LIST] [--only=LIST] "
+               "[--exclude=SUBSTR]... [--fix] "
                "[--budget-ms=N] <file-or-dir>...\n");
   return 2;
 }
@@ -105,14 +94,13 @@ std::vector<std::string> split_commas(const std::string& list) {
   return out;
 }
 
-/// Every rule id across the four tables, for --skip/--only validation —
+/// Every rule id across the three tables, for --skip/--only validation —
 /// a typo'd id in CI would otherwise silently filter nothing.
 std::set<std::string> all_rule_ids() {
   std::set<std::string> ids;
   for (const auto& r : vmincqr::lint::rule_table()) ids.insert(r.id);
   for (const auto& r : vmincqr::lint::graph_rule_table()) ids.insert(r.id);
   for (const auto& r : vmincqr::lint::callgraph_rule_table()) ids.insert(r.id);
-  for (const auto& r : vmincqr::lint::hotpath_rule_table()) ids.insert(r.id);
   return ids;
 }
 
@@ -124,10 +112,7 @@ int main(int argc, char** argv) {
   std::string layers_path;
   std::string include_root;
   std::string tier_manifest_path;
-  std::string hotpath_manifest_path;
-  std::string hotpath_report_path;
-  std::string callgraph_path;
-  std::set<int> phases = {1, 2, 3, 4, 5};
+  std::set<int> phases = {1, 2, 3};
   std::set<std::string> skip_rules;
   std::set<std::string> only_rules;
   std::vector<std::string> excludes;
@@ -145,9 +130,6 @@ int main(int argc, char** argv) {
         std::printf("%-28s %s\n", rule.id, rule.rationale);
       }
       for (const auto& rule : vmincqr::lint::callgraph_rule_table()) {
-        std::printf("%-28s %s\n", rule.id, rule.rationale);
-      }
-      for (const auto& rule : vmincqr::lint::hotpath_rule_table()) {
         std::printf("%-28s %s\n", rule.id, rule.rationale);
       }
       return 0;
@@ -168,9 +150,7 @@ int main(int argc, char** argv) {
     if (arg.rfind("--phase=", 0) == 0) {
       phases.clear();
       for (const auto& p : split_commas(arg.substr(8))) {
-        if (p != "1" && p != "2" && p != "3" && p != "4" && p != "5") {
-          return usage();
-        }
+        if (p != "1" && p != "2" && p != "3") return usage();
         phases.insert(p[0] - '0');
       }
       if (phases.empty()) return usage();
@@ -178,18 +158,6 @@ int main(int argc, char** argv) {
     }
     if (arg.rfind("--tier-manifest=", 0) == 0) {
       tier_manifest_path = arg.substr(16);
-      continue;
-    }
-    if (arg.rfind("--hotpath-manifest=", 0) == 0) {
-      hotpath_manifest_path = arg.substr(19);
-      continue;
-    }
-    if (arg.rfind("--hotpath-report=", 0) == 0) {
-      hotpath_report_path = arg.substr(17);
-      continue;
-    }
-    if (arg.rfind("--callgraph=", 0) == 0) {
-      callgraph_path = arg.substr(12);
       continue;
     }
     if (arg.rfind("--skip=", 0) == 0) {
@@ -260,7 +228,6 @@ int main(int argc, char** argv) {
 
   std::vector<vmincqr::lint::Diagnostic> diagnostics;
   std::vector<vmincqr::lint::TierRecord> tiers;
-  std::vector<vmincqr::lint::HotPathRecord> hotpath_grants;
   try {
     // --fix first so diagnostics reflect the rewritten tree.
     if (fix) {
@@ -280,20 +247,14 @@ int main(int argc, char** argv) {
       }
     }
 
-    // Phases 2+3: per-TU rules, one pool task per file (the linter dogfoods
-    // the deterministic pool). lint_files sorts by (file, line, rule,
-    // message), so output is byte-identical at every thread width.
-    if (phases.count(2) > 0 || phases.count(3) > 0) {
-      vmincqr::lint::LintPhases per_tu_phases;
-      per_tu_phases.per_tu = phases.count(2) > 0;
-      per_tu_phases.concurrency = phases.count(3) > 0;
-      diagnostics = vmincqr::lint::lint_files(files, per_tu_phases);
-    }
+    // Pass 2: per-TU rules, one pool task per file (the linter dogfoods the
+    // deterministic pool). lint_files sorts by (file, line, rule, message),
+    // so output is byte-identical at every thread width.
+    if (phases.count(2) > 0) diagnostics = vmincqr::lint::lint_files(files);
 
-    // Phases 1, 4, and 5 need the whole file set with root-relative paths.
+    // Passes 1 and 3 need the whole file set with root-relative paths.
     if (!include_root.empty() &&
-        (phases.count(1) > 0 || phases.count(4) > 0 ||
-         phases.count(5) > 0)) {
+        (phases.count(1) > 0 || phases.count(3) > 0)) {
       vmincqr::lint::LayerConfig config;
       if (!layers_path.empty()) {
         config = vmincqr::lint::load_layers(layers_path);
@@ -311,16 +272,16 @@ int main(int argc, char** argv) {
                    const vmincqr::lint::SourceFile& b) {
                   return a.rel < b.rel;
                 });
-      // Phase 1: include-graph (layering DAG, cycles, IWYU-lite).
+      // Pass 1: include-graph (layering DAG, cycles, IWYU-lite).
       if (phases.count(1) > 0) {
         for (auto& d :
              vmincqr::lint::analyze_include_graph(sources, config)) {
           diagnostics.push_back(std::move(d));
         }
       }
-      // Phase 4: cross-TU call graph (transitive parallel context,
-      // call-level layering, numeric-safety tiers).
-      if (phases.count(4) > 0) {
+      // Pass 3: cross-TU call graph (call-level layering, numeric-safety
+      // tiers).
+      if (phases.count(3) > 0) {
         vmincqr::lint::CallGraphOptions options;
         options.layers = config;
         if (!tier_manifest_path.empty()) {
@@ -328,49 +289,11 @@ int main(int argc, char** argv) {
               vmincqr::lint::load_tier_manifest(tier_manifest_path);
           options.manifest_display = tier_manifest_path;
         }
-        options.emit_dot = !callgraph_path.empty();
         auto analysis = vmincqr::lint::analyze_call_graph(sources, options);
         for (auto& d : analysis.diagnostics) {
           diagnostics.push_back(std::move(d));
         }
         tiers = std::move(analysis.tiers);
-        if (!callgraph_path.empty()) {
-          std::ofstream out(callgraph_path,
-                            std::ios::binary | std::ios::trunc);
-          if (!out) {
-            std::fprintf(stderr, "vmincqr_lint: cannot write %s\n",
-                         callgraph_path.c_str());
-            return 2;
-          }
-          out << analysis.dot;
-        }
-      }
-      // Phase 5: hot-path allocation & copy analyzer over the serve- and
-      // predict-reachable cones of the call graph.
-      if (phases.count(5) > 0) {
-        vmincqr::lint::HotPathOptions options;
-        options.layers = config;
-        if (!hotpath_manifest_path.empty()) {
-          options.alloc_manifest =
-              vmincqr::lint::load_hotpath_manifest(hotpath_manifest_path);
-          options.manifest_display = hotpath_manifest_path;
-        }
-        auto analysis = vmincqr::lint::analyze_hot_paths(sources, options);
-        for (auto& d : analysis.diagnostics) {
-          diagnostics.push_back(std::move(d));
-        }
-        if (!hotpath_report_path.empty()) {
-          std::ofstream out(hotpath_report_path,
-                            std::ios::binary | std::ios::trunc);
-          if (!out) {
-            std::fprintf(stderr, "vmincqr_lint: cannot write %s\n",
-                         hotpath_report_path.c_str());
-            return 2;
-          }
-          out << vmincqr::lint::hotpath_report_json(analysis);
-        }
-        // After the report: the JSON must carry the grants audit too.
-        hotpath_grants = std::move(analysis.grants);
       }
     }
   } catch (const std::exception& e) {
@@ -392,7 +315,7 @@ int main(int argc, char** argv) {
   if (format_name == "sarif") {
     std::printf(
         "%s",
-        vmincqr::lint::to_sarif(diagnostics, tiers, hotpath_grants).c_str());
+        vmincqr::lint::to_sarif(diagnostics, tiers).c_str());
   } else {
     for (const auto& d : diagnostics) {
       std::printf("%s\n", vmincqr::lint::format(d).c_str());

@@ -1,4 +1,4 @@
-// Phase-4 numeric-safety rules and the numeric-tier manifest.
+// Pass-3 numeric-safety rules and the numeric-tier manifest.
 //
 // The ROADMAP's SIMD/data-layout overhaul will deliberately break
 // bit-exactness on some kernels (vectorized reassociation). That is only
@@ -10,7 +10,7 @@
 // kernel is always reviewable in one place.
 //
 // Three rules run on functions reachable from predict/fit entry points
-// (reachability comes from the phase-4 call graph, callgraph.hpp):
+// (reachability comes from the pass-3 call graph, callgraph.hpp):
 //
 //   * fp-narrowing      — a double value narrowed to float
 //     (`static_cast<float>`, a `(float)` cast, or `float x = <expr>` with a

@@ -26,8 +26,8 @@ struct FunctionScope {
 std::vector<FunctionScope> function_scopes(const Unit& unit);
 
 /// Index of the token matching the opener at `open` ('(', '[', '{', '<'),
-/// or t.size() when unbalanced. Shared by the phase-3 lambda parser and the
-/// phase-4 call-graph builder so bracket matching cannot drift apart.
+/// or t.size() when unbalanced. Shared by the call-graph builder and the
+/// numeric rules so bracket matching cannot drift apart.
 std::size_t match_forward(const std::vector<Token>& t, std::size_t open);
 
 }  // namespace vmincqr::lint

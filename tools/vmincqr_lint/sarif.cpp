@@ -38,12 +38,6 @@ std::string to_sarif(const std::vector<Diagnostic>& diagnostics) {
 
 std::string to_sarif(const std::vector<Diagnostic>& diagnostics,
                      const std::vector<TierRecord>& tiers) {
-  return to_sarif(diagnostics, tiers, {});
-}
-
-std::string to_sarif(const std::vector<Diagnostic>& diagnostics,
-                     const std::vector<TierRecord>& tiers,
-                     const std::vector<HotPathRecord>& grants) {
   std::string s;
   s += "{\n";
   s += "  \"$schema\": "
@@ -66,36 +60,20 @@ std::string to_sarif(const std::vector<Diagnostic>& diagnostics,
   for (const auto& rule : rule_table()) emit_rule(rule);
   for (const auto& rule : graph_rule_table()) emit_rule(rule);
   for (const auto& rule : callgraph_rule_table()) emit_rule(rule);
-  for (const auto& rule : hotpath_rule_table()) emit_rule(rule);
   s += "\n          ]\n        }\n      },\n";
-  if (!tiers.empty() || !grants.empty()) {
-    // Run-level audit trail: every function with an explicit numeric tier
-    // or hot-path grant.
+  if (!tiers.empty()) {
+    // Run-level audit trail: every function with an explicit numeric tier.
     s += "      \"properties\": {\n";
-    if (!tiers.empty()) {
-      s += "        \"numericTiers\": [\n";
-      for (std::size_t i = 0; i < tiers.size(); ++i) {
-        const TierRecord& r = tiers[i];
-        s += "          {\"function\": \"" + json_escape(r.function) +
-             "\", \"file\": \"" + json_escape(r.file) +
-             "\", \"line\": " + std::to_string(r.line) + ", \"tier\": \"" +
-             json_escape(r.tier) + "\"}";
-        s += i + 1 < tiers.size() ? ",\n" : "\n";
-      }
-      s += grants.empty() ? "        ]\n" : "        ],\n";
+    s += "        \"numericTiers\": [\n";
+    for (std::size_t i = 0; i < tiers.size(); ++i) {
+      const TierRecord& r = tiers[i];
+      s += "          {\"function\": \"" + json_escape(r.function) +
+           "\", \"file\": \"" + json_escape(r.file) +
+           "\", \"line\": " + std::to_string(r.line) + ", \"tier\": \"" +
+           json_escape(r.tier) + "\"}";
+      s += i + 1 < tiers.size() ? ",\n" : "\n";
     }
-    if (!grants.empty()) {
-      s += "        \"hotPathGrants\": [\n";
-      for (std::size_t i = 0; i < grants.size(); ++i) {
-        const HotPathRecord& r = grants[i];
-        s += "          {\"function\": \"" + json_escape(r.function) +
-             "\", \"file\": \"" + json_escape(r.file) +
-             "\", \"line\": " + std::to_string(r.line) + ", \"grant\": \"" +
-             json_escape(r.grant) + "\"}";
-        s += i + 1 < grants.size() ? ",\n" : "\n";
-      }
-      s += "        ]\n";
-    }
+    s += "        ]\n";
     s += "      },\n";
   }
   s += "      \"results\": [\n";

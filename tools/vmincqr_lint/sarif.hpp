@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "diagnostic.hpp"
-#include "hotpath.hpp"
 #include "numeric.hpp"
 
 namespace vmincqr::lint {
@@ -21,19 +20,11 @@ std::string json_escape(const std::string& s);
 /// artifactLocation.uri; pass repo-relative paths for useful CI annotation.
 std::string to_sarif(const std::vector<Diagnostic>& diagnostics);
 
-/// Same, with the phase-4 numeric-tier records rendered into the run's
+/// Same, with the call graph's numeric-tier records rendered into the run's
 /// `properties.numericTiers` — the SARIF log doubles as the audit trail of
 /// every function that declared a bit-exactness tier. An empty `tiers`
 /// produces the exact same bytes as the overload above.
 std::string to_sarif(const std::vector<Diagnostic>& diagnostics,
                      const std::vector<TierRecord>& tiers);
-
-/// Same, with the phase-5 hot-path grants rendered into the run's
-/// `properties.hotPathGrants` next to the numeric tiers — the log then
-/// audits every sanctioned hot-path allocation too. Empty `tiers` and
-/// `grants` produce the exact same bytes as the base overload.
-std::string to_sarif(const std::vector<Diagnostic>& diagnostics,
-                     const std::vector<TierRecord>& tiers,
-                     const std::vector<HotPathRecord>& grants);
 
 }  // namespace vmincqr::lint

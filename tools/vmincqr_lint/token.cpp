@@ -54,29 +54,6 @@ void record_numeric_tier(Unit& unit, const std::string& comment,
   }
 }
 
-void record_hot_path_grants(Unit& unit, const std::string& comment,
-                            std::size_t line) {
-  const std::string tag = "vmincqr:";
-  const auto at = comment.find(tag);
-  if (at == std::string::npos) return;
-  const std::string marker = "hot-path(";
-  const auto open = comment.find(marker, at);
-  if (open == std::string::npos) return;
-  const auto close = comment.find(')', open);
-  if (close == std::string::npos) return;
-  const std::string list =
-      comment.substr(open + marker.size(), close - open - marker.size());
-  std::string grant;
-  std::stringstream ss(list);
-  while (std::getline(ss, grant, ',')) {
-    const auto b = grant.find_first_not_of(" \t");
-    const auto e = grant.find_last_not_of(" \t");
-    if (b == std::string::npos) continue;
-    grant = grant.substr(b, e - b + 1);
-    if (grant == "allow-alloc") unit.hot_path_grants[line].insert(grant);
-  }
-}
-
 /// Normalizes a directive body: collapses runs of whitespace to one space.
 std::string squeeze(const std::string& s) {
   std::string out;
@@ -135,7 +112,6 @@ Unit tokenize(const std::string& src) {
           while (i < n && src[i] != '\n') comment.push_back(src[i++]);
           record_allows(unit, comment, line);
           record_numeric_tier(unit, comment, line);
-          record_hot_path_grants(unit, comment, line);
           break;
         }
         text.push_back(src[i++]);
@@ -150,7 +126,6 @@ Unit tokenize(const std::string& src) {
       while (i < n && src[i] != '\n') comment.push_back(src[i++]);
       record_allows(unit, comment, line);
       record_numeric_tier(unit, comment, line);
-      record_hot_path_grants(unit, comment, line);
       continue;
     }
     // Block comment.
@@ -166,7 +141,6 @@ Unit tokenize(const std::string& src) {
       i = std::min(n, i + 2);
       record_allows(unit, comment, start_line);
       record_numeric_tier(unit, comment, start_line);
-      record_hot_path_grants(unit, comment, start_line);
       continue;
     }
     // Raw string literal.
@@ -285,14 +259,6 @@ std::string numeric_tier_at(const Unit& unit, std::size_t line) {
     if (it != unit.numeric_tiers.end()) return it->second;
   }
   return "";
-}
-
-std::set<std::string> hot_path_grants_at(const Unit& unit, std::size_t line) {
-  for (std::size_t probe : {line, line > 0 ? line - 1 : 0}) {
-    const auto it = unit.hot_path_grants.find(probe);
-    if (it != unit.hot_path_grants.end()) return it->second;
-  }
-  return {};
 }
 
 }  // namespace vmincqr::lint

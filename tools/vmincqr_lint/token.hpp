@@ -1,8 +1,8 @@
 // Shared lexer for vmincqr_lint: turns one translation unit into a token
 // stream plus preprocessor directives and per-line allow() suppressions.
 //
-// Both analyzer phases consume this: the token rules and the dataflow pass
-// walk `tokens`, the include-graph pass reads `directives`. Comments and
+// Every pass consumes this: the token rules, the dataflow pass and the call
+// graph walk `tokens`, the include-graph pass reads `directives`. Comments and
 // string/char literals are consumed by the lexer (never tokenized), so no
 // rule can misfire on prose; allow() markers inside comments are harvested
 // into `allows` on the way past.
@@ -35,17 +35,11 @@ struct Unit {
   /// line -> rule ids suppressed on that line via `vmincqr-lint: allow(...)`.
   std::map<std::size_t, std::set<std::string>> allows;
   /// line -> tier declared via `vmincqr: numeric-tier(bit_exact|tolerance)`.
-  /// Consumed by the phase-4 numeric-safety rules: a tier comment on a
-  /// function's definition line (or the line above) sets that function's
-  /// tier; unknown tier names are ignored (the annotation never fails).
+  /// Consumed by the call-graph pass's numeric-safety rules: a tier comment
+  /// on a function's definition line (or the line above) sets that
+  /// function's tier; unknown tier names are ignored (the annotation never
+  /// fails).
   std::map<std::size_t, std::string> numeric_tiers;
-  /// line -> grants declared via `vmincqr: hot-path(allow-alloc)`. Consumed
-  /// by the phase-5 hot-path rules: a grant comment on a function's
-  /// definition line (or the line above) exempts that function from the
-  /// allocation-class rules — but only when the grant is also mirrored in
-  /// the committed hotpath_tiers.toml manifest (rule hot-path-manifest).
-  /// Unknown grant names are ignored, like unknown numeric tiers.
-  std::map<std::size_t, std::set<std::string>> hot_path_grants;
 };
 
 /// Lexes one TU. Never fails: unterminated constructs consume to EOF.
@@ -57,10 +51,5 @@ bool is_allowed(const Unit& unit, const std::string& rule, std::size_t line);
 /// The numeric tier annotated on `line` or the line directly above, or ""
 /// when unannotated (callers default to bit_exact).
 std::string numeric_tier_at(const Unit& unit, std::size_t line);
-
-/// The hot-path grants annotated on `line` or the line directly above
-/// (empty when unannotated). Today the only recognized grant is
-/// "allow-alloc".
-std::set<std::string> hot_path_grants_at(const Unit& unit, std::size_t line);
 
 }  // namespace vmincqr::lint
