@@ -78,46 +78,6 @@ BinningResult bin_by_point(const Vector& predicted, Millivolt guard_band,
   return bin_chips(required, truth, config);
 }
 
-void FeatureBinner::fit(const Matrix& x, std::size_t max_bins) {
-  if (max_bins < 2) {
-    throw std::invalid_argument("FeatureBinner::fit: max_bins < 2");
-  }
-  if (x.rows() == 0 || x.cols() == 0) {
-    throw std::invalid_argument("FeatureBinner::fit: empty design matrix");
-  }
-  const std::size_t max_edges = max_bins - 1;
-  std::vector<std::vector<double>> edges(x.cols());
-  for (std::size_t f = 0; f < x.cols(); ++f) {
-    Vector values = x.col(f);
-    std::sort(values.begin(), values.end());
-    values.erase(std::unique(values.begin(), values.end()), values.end());
-    if (values.size() < 2) continue;  // constant feature: one bin, no edges
-    if (values.size() - 1 <= max_edges) {
-      // Every midpoint between adjacent distinct values — the histogram is
-      // then exactly as expressive as the sorted scan for this feature.
-      for (std::size_t i = 0; i + 1 < values.size(); ++i) {
-        edges[f].push_back(0.5 * (values[i] + values[i + 1]));
-      }
-    } else {
-      // Quantile-thinned midpoints (evenly spaced over the distinct values,
-      // the same policy as ordered-boost border selection). Midpoints of
-      // adjacent positions may coincide after thinning; dedup keeps the
-      // edges strictly ascending.
-      for (std::size_t b = 1; b <= max_edges; ++b) {
-        const double q =
-            static_cast<double>(b) / (static_cast<double>(max_edges) + 1.0);
-        const auto pos = static_cast<std::size_t>(
-            q * static_cast<double>(values.size() - 1));
-        edges[f].push_back(
-            0.5 * (values[pos] + values[std::min(pos + 1, values.size() - 1)]));
-      }
-      edges[f].erase(std::unique(edges[f].begin(), edges[f].end()),
-                     edges[f].end());
-    }
-  }
-  edges_ = std::move(edges);
-}
-
 void FeatureBinner::import_edges(std::vector<std::vector<double>> edges) {
   for (const auto& feature_edges : edges) {
     if (feature_edges.size() > 65535) {

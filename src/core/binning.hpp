@@ -9,13 +9,10 @@
 //    chips land in a bin below their true Vmin. Point-based binning needs an
 //    explicit guard band.
 //
-// 2. Feature pre-binning (FeatureBinner) for split search: quantize each
-//    feature to <= max_bins codes whose boundaries are candidate split
-//    thresholds. The fast kernel tier (linalg::KernelPolicy::kFast) routes
-//    GBT / ordered-boost fits through histograms of these codes, O(n + bins)
-//    per feature with thresholds limited to the edges. The exact ordered-
-//    boost search uses the same codes as each value's rank against the
-//    feature's borders (see the invariant below).
+// 2. Feature pre-binning (FeatureBinner) for split search: rank each value
+//    against its feature's candidate split thresholds once per fit, so the
+//    ordered-boost level search tests a code instead of the value (see the
+//    invariant below).
 #pragma once
 
 #include <cstddef>
@@ -73,58 +70,34 @@ BinningResult bin_by_point(const Vector& predicted, Millivolt guard_band,
 double mean_voltage_saving(const BinningResult& a, const BinningResult& b,
                            const BinningConfig& config);
 
-/// Per-feature quantizer for histogram split search.
+/// Per-feature ranks of values against explicit split thresholds.
 ///
-/// fit() learns ascending bin EDGES per feature — midpoints between adjacent
-/// distinct values, quantile-thinned to at most max_bins - 1 of them — and
-/// bin_of() maps a value to its bin code. The invariant that makes histogram
-/// splits equivalent to threshold splits:
+/// import_edges() adopts ascending bin EDGES per feature (ordered-boost
+/// borders), and bin_of() maps a value to its bin code. The invariant that
+/// makes a code an exact stand-in for a threshold test:
 ///
-///   bin_of(f, v) <= b   <=>   v <= edge(f, b)
+///   bin_of(f, v) <= b   <=>   v <= edges(f)[b]
 ///
-/// so "bins 0..b go left" IS the tree split `x <= edge(f, b)`, and a fitted
+/// so "bins 0..b go left" IS the tree split `x <= edges(f)[b]`, and a fitted
 /// tree stores ordinary thresholds — prediction never sees the binner.
-///
-/// Everything is deterministic (pure function of the training matrix), but
-/// fit()'s candidate thinning means histogram splits can differ from the
-/// exact presorted scan: histogram fit paths are fast-tier by construction.
-/// With explicit edges (import_edges) the invariant alone makes a code an
-/// exact stand-in for the threshold test.
 class FeatureBinner {
  public:
-  /// Learns edges from every column of x. max_bins >= 2 (throws otherwise);
-  /// a constant feature gets zero edges (single bin, never splittable).
-  void fit(const Matrix& x, std::size_t max_bins = kDefaultMaxBins);
-
   /// Adopts explicit per-feature ascending edge lists (e.g. ordered-boost
-  /// borders). Throws std::invalid_argument on unsorted or non-finite edges
-  /// or a feature with > 65535 edges (codes are uint16).
+  /// borders); a feature with no edges is a single bin. Throws
+  /// std::invalid_argument on unsorted or non-finite edges or a feature
+  /// with > 65535 edges (codes are uint16).
   void import_edges(std::vector<std::vector<double>> edges);
 
-  [[nodiscard]] bool fitted() const noexcept { return !edges_.empty(); }
-  [[nodiscard]] std::size_t n_features() const noexcept {
-    return edges_.size();
-  }
-  /// Bins for feature f (edge count + 1).
-  [[nodiscard]] std::size_t n_bins(std::size_t feature) const {
-    return edges_[feature].size() + 1;
-  }
   [[nodiscard]] const std::vector<double>& edges(std::size_t feature) const {
     return edges_[feature];
-  }
-  /// The split threshold bin boundary b stands for (b < n_bins(f) - 1).
-  [[nodiscard]] double edge(std::size_t feature, std::size_t b) const {
-    return edges_[feature][b];
   }
 
   /// Bin code of one value: the number of edges < value.
   [[nodiscard]] std::uint16_t bin_of(std::size_t feature, double value) const;
 
-  /// Row-major (rows x n_features) code matrix for x. Throws
-  /// std::invalid_argument when x.cols() != n_features().
+  /// Row-major (rows x features) code matrix for x. Throws
+  /// std::invalid_argument when x.cols() differs from the feature count.
   [[nodiscard]] std::vector<std::uint16_t> bin(const Matrix& x) const;
-
-  static constexpr std::size_t kDefaultMaxBins = 64;
 
  private:
   std::vector<std::vector<double>> edges_;  ///< ascending, per feature

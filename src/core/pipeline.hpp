@@ -20,7 +20,6 @@
 #include "core/split_spec.hpp"
 #include "core/units.hpp"
 #include "data/dataset.hpp"
-#include "linalg/kernels.hpp"
 #include "models/factory.hpp"
 
 namespace vmincqr::core {
@@ -38,13 +37,6 @@ struct PipelineConfig {
   /// verbatim into conformal::CqrConfig (and friends) wherever the pipeline
   /// builds a calibrated predictor.
   CalibrationSplit split;
-  /// Accuracy tier for the dense/tree compute kernels during this fit.
-  /// fit_screen scopes the process-wide policy to the fit via
-  /// linalg::KernelPolicyGuard: kBitExact (default) reproduces the reference
-  /// summation orders bit for bit; kFast enables the reassociated kernels
-  /// and histogram-binned split search (tolerance-gated, still
-  /// deterministic and thread-count invariant).
-  linalg::KernelPolicy kernel_policy = linalg::KernelPolicy::kBitExact;
 };
 
 /// The assembled design for one scenario: the legal feature columns and the
@@ -85,9 +77,7 @@ struct FittedScreen {
 /// The full fit-time path for one scenario: split per config.split, select
 /// features on the proper-training part (no calibration leakage), fit the
 /// CQR-wrapped quantile pair, calibrate. Throws std::invalid_argument on a
-/// design too small to split. A pipeline root: it scopes the process-wide
-/// kernel policy to its fit, so it throws contract_violation when called from
-/// a pool task (e.g. inside core::parallel_map); run fits one after another.
+/// design too small to split.
 FittedScreen fit_screen(const ScenarioData& data, models::ModelKind kind,
                         const PipelineConfig& config, std::size_t n_features,
                         conformal::CqrMode mode = conformal::CqrMode::kSymmetric);

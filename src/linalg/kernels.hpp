@@ -1,109 +1,48 @@
-// Blocked, register-tiled dense micro-kernels behind an explicit accuracy
-// tier — the compute core the predict/fit hot cones dispatch onto.
+// Blocked, register-tiled dense micro-kernels — the compute core the
+// predict/fit hot cones dispatch onto.
 //
-// Every kernel comes in (up to) two tiers selected by KernelPolicy:
-//
-//   * kBitExact — the reference tier. Blocking only changes WHICH loads are
-//     shared between output elements, never the per-element floating-point
-//     summation order: out(i, j) still accumulates its k-terms in ascending
-//     k, exactly like the scalar loops these kernels replaced. Results are
-//     bit-identical to the pre-kernel code and thread-count invariant (the
-//     PR-5 battery gates this tier).
-//   * kFast — reassociated tier. Multiple accumulators per output element
-//     (k-splitting) and algebraic rewrites (||a-b||^2 = ||a||^2 + ||b||^2
-//     - 2ab) trade the exact summation order for throughput. Functions on
-//     this tier carry `// vmincqr: numeric-tier(tolerance)` annotations
-//     mirrored in tools/vmincqr_lint/numeric_tiers.toml, and are gated by
-//     tolerance + coverage-equivalence tests, never by bit comparison.
-//
-// The policy is process-wide (resolution: set_kernel_policy() override >
-// VMINCQR_KERNEL_POLICY env > kBitExact) and must only be flipped from the
-// calling thread while no parallel region is in flight — the same contract
-// as parallel::set_max_threads. core::PipelineConfig threads a policy into
-// fit_screen via KernelPolicyGuard; serve deployments select the tier at
-// startup (env or set_kernel_policy).
+// Blocking only changes WHICH loads are shared between output elements and
+// where a partial sum lives (a register instead of memory), never the
+// per-element floating-point summation order: out(i, j) still accumulates
+// its terms in ascending order from the caller's initial value, with the
+// same exact-zero skips, exactly like the scalar loops these kernels
+// replaced. Results are bit-identical to that reference and thread-count
+// invariant, at fit time and at serve time alike.
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
-#include <string>
 
 namespace vmincqr::linalg {
 
-/// Accuracy tier for the dense micro-kernels (see file header).
-enum class KernelPolicy : std::uint8_t {
-  kBitExact,  ///< reference summation order; bit-identical across threads
-  kFast,      ///< reassociated/blocked; tolerance-gated, still deterministic
-};
-
-/// The process-wide kernel policy (override > VMINCQR_KERNEL_POLICY > exact).
-[[nodiscard]] KernelPolicy kernel_policy() noexcept;
-
-/// Overrides the process-wide policy. Must not be called while parallel work
-/// is in flight (kernels running on pool lanes read the policy).
-void set_kernel_policy(KernelPolicy policy) noexcept;
-
-/// "bit_exact" / "fast" — the spelling VMINCQR_KERNEL_POLICY accepts.
-[[nodiscard]] std::string kernel_policy_name(KernelPolicy policy);
-
-/// Parses a policy name ("fast", "bit_exact"); throws std::invalid_argument
-/// on anything else.
-[[nodiscard]] KernelPolicy parse_kernel_policy(const std::string& name);
-
-/// RAII override: sets the policy for a scope (a fit under PipelineConfig's
-/// policy, a tolerance test), restoring the previous policy on exit.
-class KernelPolicyGuard {
- public:
-  explicit KernelPolicyGuard(KernelPolicy policy) noexcept
-      : saved_(kernel_policy()) {
-    set_kernel_policy(policy);
-  }
-  ~KernelPolicyGuard() { set_kernel_policy(saved_); }
-  KernelPolicyGuard(const KernelPolicyGuard&) = delete;
-  KernelPolicyGuard& operator=(const KernelPolicyGuard&) = delete;
-
- private:
-  KernelPolicy saved_;
-};
-
-// --- micro-kernels ---------------------------------------------------------
-//
 // All matrices are dense row-major with explicit leading dimensions, so the
 // kernels slice blocks out of larger matrices without copies. No bounds
 // checks (hot path); callers own shape validation.
 
 /// C(m x n, ldc) += A(m x k, lda) * B(k x n, ldb). C must be initialized by
 /// the caller (zeros, or a bias row — whatever the reference scalar loop
-/// started from). Honors `policy`; kBitExact preserves the classic i-k-j
-/// per-element order including the exact-zero skip on A entries.
+/// started from). Keeps the classic i-k-j per-element order including the
+/// exact-zero skip on A entries.
 void gemm(std::size_t m, std::size_t k, std::size_t n, const double* a,
           std::size_t lda, const double* b, std::size_t ldb, double* c,
-          std::size_t ldc, KernelPolicy policy);
+          std::size_t ldc);
 
 /// C(k x n, ldc) += A(m x k, lda)^T * B(m x n, ldb) — the gradient-side
 /// kernel (accumulating X^T * dL without materializing the transpose). Per
-/// output element the m-terms accumulate in ascending m on both tiers; the
-/// fast tier drops the exact-zero skip.
+/// output element the m-terms accumulate in ascending m, skipping the terms
+/// whose B factor is an exact zero.
 void gemm_at(std::size_t m, std::size_t k, std::size_t n, const double* a,
              std::size_t lda, const double* b, std::size_t ldb, double* c,
-             std::size_t ldc, KernelPolicy policy);
+             std::size_t ldc);
 
-/// y(m) = A(m x n, lda) * x(n), overwriting y. kBitExact keeps each row's
-/// ascending-j dot order; kFast uses split accumulators.
+/// y(m) = A(m x n, lda) * x(n), overwriting y; each row's dot product
+/// accumulates in ascending j.
 void gemv(std::size_t m, std::size_t n, const double* a, std::size_t lda,
-          const double* x, double* y, KernelPolicy policy);
-
-/// Ascending-order dot product (the reference semantics of linalg::dot).
-[[nodiscard]] double dot_kernel(std::size_t n, const double* a,
-                                const double* b, KernelPolicy policy);
+          const double* x, double* y);
 
 /// out[j] = squared Euclidean distance between row `a` (length d) and row j
-/// of B(nb x d, ldb), for j in [0, nb). kBitExact accumulates each pair's
-/// d-terms in ascending order (the row_sq_dist reference); kFast expands
-/// ||a-b||^2 = ||a||^2 - 2ab + ||b||^2 with precomputed row norms `b_norms`
-/// (pass nullptr on the exact tier; ignored there).
+/// of B(nb x d, ldb), for j in [0, nb). Each pair's d-terms accumulate in
+/// ascending order (the row_sq_dist reference).
 void row_sq_dists(const double* a, std::size_t d, const double* b,
-                  std::size_t ldb, std::size_t nb, const double* b_norms,
-                  double* out, KernelPolicy policy);
+                  std::size_t ldb, std::size_t nb, double* out);
 
 }  // namespace vmincqr::linalg

@@ -14,8 +14,7 @@
 // while the node planes stream once per block. Per ROW the accumulation
 // order is unchanged from the scalar reference (base term first, then trees
 // in round order, one fused multiply-add per tree), so flat predictions are
-// BIT-IDENTICAL to the AoS path on every tier; this kernel has no fast
-// variant because it reorders nothing.
+// BIT-IDENTICAL to the AoS path.
 #pragma once
 
 #include <cstdint>

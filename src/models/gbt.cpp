@@ -1,12 +1,9 @@
 #include "models/gbt.hpp"
 
 #include <algorithm>
-#include <optional>
 #include <stdexcept>
 #include <utility>
 
-#include "core/binning.hpp"
-#include "linalg/kernels.hpp"
 #include "parallel/parallel_for.hpp"
 #include "stats/descriptive.hpp"
 #include "stats/quantile.hpp"
@@ -48,22 +45,9 @@ void GradientBoostedTrees::fit(const Matrix& x, const Vector& y) {
   Vector grad(n), hess(n);
   trees_.reserve(static_cast<std::size_t>(config_.n_rounds));
 
-  // Both tiers prepare the design once per fit. Bit-exact: every feature's
-  // rows sorted once, then partitioned down each round's tree. Fast: pre-bin
-  // the design, then every round's split search runs over histograms. The
-  // binner is a pure function of x, so fast fits stay deterministic and
-  // thread-count invariant — they just choose (slightly) different trees
-  // than the bit-exact tier, which is why the policy gates them.
-  const bool binned = linalg::kernel_policy() == linalg::KernelPolicy::kFast;
-  core::FeatureBinner binner;
-  std::vector<std::uint16_t> codes;
-  std::optional<SortedDesign> sorted;
-  if (binned) {
-    binner.fit(x);
-    codes = binner.bin(x);
-  } else {
-    sorted.emplace(x);
-  }
+  // Every feature's rows are sorted once per fit, then partitioned down
+  // each round's tree.
+  SortedDesign sorted(x);
 
   const bool parallel_rows = n >= kMinParallelRows;
   for (int round = 0; round < config_.n_rounds; ++round) {
@@ -77,11 +61,7 @@ void GradientBoostedTrees::fit(const Matrix& x, const Vector& y) {
         },
         parallel_rows);
     RegressionTree tree;
-    if (binned) {
-      tree.fit_binned(x, grad, hess, config_.tree, binner, codes);
-    } else {
-      tree.fit(*sorted, grad, hess, config_.tree);
-    }
+    tree.fit(sorted, grad, hess, config_.tree);
     const auto& leaf_ids = tree.train_leaf_ids();
 
     if (config_.loss.kind == LossKind::kPinball) {
@@ -101,9 +81,8 @@ void GradientBoostedTrees::fit(const Matrix& x, const Vector& y) {
     }
 
     // Each training row's leaf is known from the fit, which partitioned the
-    // rows by the `x <= threshold` test predict_row walks (the binned path by
-    // its code equivalent), so leaf_value(leaf id) is what predict_row would
-    // return.
+    // rows by the `x <= threshold` test predict_row walks, so
+    // leaf_value(leaf id) is what predict_row would return.
     parallel::parallel_for(
         n, /*grain=*/0,
         [&](std::size_t begin, std::size_t end) {

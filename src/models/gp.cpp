@@ -57,18 +57,6 @@ Matrix GaussianProcessRegressor::kernel(const Matrix& a, const Matrix& b,
                                         double length_scale) const {
   Matrix k(a.rows(), b.rows());
   const double inv_two_l2 = 1.0 / (2.0 * length_scale * length_scale);
-  const linalg::KernelPolicy policy = linalg::kernel_policy();
-  // Fast tier: hoist ||b_j||^2 once so the distance kernel can expand
-  // ||a - b||^2 = ||a||^2 - 2 a.b + ||b||^2 instead of differencing.
-  Vector b_norms;
-  if (policy == linalg::KernelPolicy::kFast) {
-    b_norms.resize(b.rows());
-    for (std::size_t j = 0; j < b.rows(); ++j) {
-      const double* row = b.row_ptr(j);
-      b_norms[j] = linalg::dot_kernel(b.cols(), row, row, policy);
-    }
-  }
-  const double* norms = b_norms.empty() ? nullptr : b_norms.data();
   // Each chunk fills whole rows of k — disjoint writes, and every entry is
   // a pure function of its (i, j), so assembly order cannot matter. The
   // distance kernel writes each row's squared distances straight into k,
@@ -79,7 +67,7 @@ Matrix GaussianProcessRegressor::kernel(const Matrix& a, const Matrix& b,
         for (std::size_t i = begin; i < end; ++i) {
           double* krow = k.row_ptr(i);
           linalg::row_sq_dists(a.row_ptr(i), a.cols(), b.row_ptr(0), b.cols(),
-                               b.rows(), norms, krow, policy);
+                               b.rows(), krow);
           for (std::size_t j = 0; j < b.rows(); ++j) {
             krow[j] = config_.signal_variance * std::exp(-krow[j] * inv_two_l2);
           }

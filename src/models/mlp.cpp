@@ -105,7 +105,6 @@ void MlpRegressor::fit(const Matrix& x, const Vector& y) {
     s.z.assign(kMlpGrain * h, 0.0);
     s.dh.assign(kMlpGrain * h, 0.0);
   }
-  const linalg::KernelPolicy policy = linalg::kernel_policy();
 
   const double inv_n = 1.0 / static_cast<double>(n);
   for (int epoch = 0; epoch < config_.epochs; ++epoch) {
@@ -121,14 +120,14 @@ void MlpRegressor::fit(const Matrix& x, const Vector& y) {
           const std::size_t rows = end - begin;
 
           // Blocked forward: Z <- b1 (broadcast), then Z += X_chunk * W1.
-          // The exact-tier kernel accumulates each z(i,j) in ascending k on
-          // top of the caller-seeded b1[j] — the same summation order as the
-          // old per-sample loop, so the activations are bit-identical.
+          // The kernel accumulates each z(i,j) in ascending k on top of the
+          // caller-seeded b1[j] — the same summation order as the old
+          // per-sample loop, so the activations are bit-identical.
           double* z = s.z.data();
           for (std::size_t r = 0; r < rows; ++r) {
             std::copy(b1, b1 + h, z + r * h);
           }
-          linalg::gemm(rows, d, h, xs.row_ptr(begin), d, w1, h, z, h, policy);
+          linalg::gemm(rows, d, h, xs.row_ptr(begin), d, w1, h, z, h);
 
           double* dhm = s.dh.data();
           for (std::size_t r = 0; r < rows; ++r) {
@@ -153,11 +152,10 @@ void MlpRegressor::fit(const Matrix& x, const Vector& y) {
               gb1[j] += dh;
             }
           }
-          // gw1 += X_chunk^T * DH. The exact tier walks samples in ascending
+          // gw1 += X_chunk^T * DH. The kernel walks samples in ascending
           // order per (k, j) element and skips dh == 0 terms, reproducing the
           // old `if (dh == 0.0) continue` inner loop bit for bit.
-          linalg::gemm_at(rows, d, h, xs.row_ptr(begin), d, dhm, h, gw1, h,
-                          policy);
+          linalg::gemm_at(rows, d, h, xs.row_ptr(begin), d, dhm, h, gw1, h);
         },
         /*use_pool=*/n >= 2 * kMlpGrain);
     // Deterministic fold: chunk partials in ascending chunk index.
@@ -204,7 +202,6 @@ Vector MlpRegressor::forward(const Matrix& xs) const {
   // parameter set with a different hidden width evaluates correctly.
   const std::size_t h = b1_.size();
   const std::size_t d = xs.cols();
-  const linalg::KernelPolicy policy = linalg::kernel_policy();
   Vector out(xs.rows());
   parallel::for_each_chunk(
       xs.rows(), kForwardGrain,
@@ -212,14 +209,14 @@ Vector MlpRegressor::forward(const Matrix& xs) const {
         (void)chunk;
         const std::size_t rows = end - begin;
         // Per-chunk activation slab: Z <- b1 (broadcast), Z += X_chunk * W1
-        // through the blocked kernel. The exact tier seeds each z(i, j) with
-        // b1[j] and adds in ascending k — the per-sample loop's exact order.
+        // through the blocked kernel, which seeds each z(i, j) with b1[j]
+        // and adds in ascending k — the per-sample loop's exact order.
         std::vector<double> z(rows * h);
         for (std::size_t r = 0; r < rows; ++r) {
           std::copy(b1_.begin(), b1_.end(), z.begin() + r * h);
         }
         linalg::gemm(rows, d, h, xs.row_ptr(begin), d, w1_.row_ptr(0), h,
-                     z.data(), h, policy);
+                     z.data(), h);
         for (std::size_t r = 0; r < rows; ++r) {
           const double* zr = z.data() + r * h;
           double acc = b2_;

@@ -7,7 +7,6 @@
 #include <utility>
 
 #include "core/binning.hpp"
-#include "linalg/kernels.hpp"
 #include "parallel/parallel_for.hpp"
 #include "stats/descriptive.hpp"
 #include "stats/quantile.hpp"
@@ -31,14 +30,14 @@ constexpr std::size_t kMinParallelSplitWork = 4096;
 /// Batch size below which predict stays single-shard (matches gbt.cpp).
 constexpr std::size_t kMinParallelRows = 256;
 
-/// Exact oblivious level search. Row i lies left of border b of feature f
+/// Oblivious level search. Row i lies left of border b of feature f
 /// iff its code is <= b (the binner invariant bin_of(f, v) <= b <=> v <=
-/// edge(f, b)), so one ascending pass over the rows adds each row's
+/// edges(f)[b]), so one ascending pass over the rows adds each row's
 /// (grad, hess) to its partition's sums for every border b >= its code. Each
 /// (border, partition) sum thus receives exactly the rows a thresholded
 /// `x(i, f) <= border` scan adds, in the same order: the same sums, scores
 /// and winner, bit for bit, without a branch on x.
-LevelCandidate search_level_exact(
+LevelCandidate search_level(
     const core::FeatureBinner& binner, const std::vector<std::uint16_t>& codes,
     std::size_t n, std::size_t d, const Vector& grad, const Vector& hess,
     const std::vector<std::size_t>& leaf_of, const std::vector<double>& g_tot,
@@ -68,66 +67,6 @@ LevelCandidate search_level_exact(
             for (std::size_t p = 0; p < parts; ++p) {
               const double* sums = left_sums.data() + 2 * (p * borders + b);
               const double gl = sums[0], hl = sums[1];
-              const double gr = g_tot[p] - gl, hr = h_tot[p] - hl;
-              score += gl * gl / (hl + l2) + gr * gr / (hr + l2);
-            }
-            if (score > local.score) {
-              local.score = score;
-              local.feature = f;
-              local.threshold = edges[b];
-              local.found = true;
-            }
-          }
-        }
-        return local;
-      },
-      [](LevelCandidate acc, LevelCandidate part) {
-        return part.score > acc.score ? part : acc;
-      },
-      use_pool);
-}
-
-/// Fast-tier oblivious level search: one pass over the samples fills a
-/// per-(bin, partition) G/H histogram per feature, then every border's score
-/// falls out of an ascending prefix sweep — O(n + borders x partitions) per
-/// feature instead of the exact path's O(n x borders) suffix sums.
-/// Deterministic and thread-count invariant, but the per-partition sums
-/// accumulate in bin order rather than row order, so scores (and therefore
-/// chosen splits) can differ from the exact tier in the last bits.
-// vmincqr: numeric-tier(tolerance)
-LevelCandidate search_level_binned(
-    const core::FeatureBinner& binner, const std::vector<std::uint16_t>& codes,
-    std::size_t n, std::size_t d, const Vector& grad, const Vector& hess,
-    const std::vector<std::size_t>& leaf_of, const std::vector<double>& g_tot,
-    const std::vector<double>& h_tot, double l2, bool use_pool) {
-  const std::size_t parts = g_tot.size();
-  return parallel::parallel_deterministic_reduce(
-      d, /*grain=*/1, LevelCandidate{},
-      [&](std::size_t f_begin, std::size_t f_end) {
-        LevelCandidate local;
-        std::vector<double> g_bin, h_bin;
-        std::vector<double> g_left(parts), h_left(parts);
-        for (std::size_t f = f_begin; f < f_end; ++f) {
-          const std::vector<double>& edges = binner.edges(f);
-          if (edges.empty()) continue;  // constant feature
-          const std::size_t bins = edges.size() + 1;
-          g_bin.assign(bins * parts, 0.0);
-          h_bin.assign(bins * parts, 0.0);
-          for (std::size_t i = 0; i < n; ++i) {
-            const std::size_t cell = codes[i * d + f] * parts + leaf_of[i];
-            g_bin[cell] += grad[i];
-            h_bin[cell] += hess[i];
-          }
-          std::fill(g_left.begin(), g_left.end(), 0.0);
-          std::fill(h_left.begin(), h_left.end(), 0.0);
-          for (std::size_t b = 0; b < edges.size(); ++b) {
-            for (std::size_t p = 0; p < parts; ++p) {
-              g_left[p] += g_bin[b * parts + p];
-              h_left[p] += h_bin[b * parts + p];
-            }
-            double score = 0.0;
-            for (std::size_t p = 0; p < parts; ++p) {
-              const double gl = g_left[p], hl = h_left[p];
               const double gr = g_tot[p] - gl, hr = h_tot[p] - hl;
               score += gl * gl / (hl + l2) + gr * gr / (hr + l2);
             }
@@ -210,13 +149,11 @@ void OrderedBoostedTrees::fit(const Matrix& x, const Vector& y) {
     base_score_ = stats::mean(y);
   }
 
-  // Both tiers rank every value against its feature's borders once per fit;
-  // they differ only in how a level search accumulates: row-order suffix
-  // sums (search_level_exact) or histogram prefixes (search_level_binned).
+  // Every value is ranked against its feature's borders once per fit; each
+  // level search then accumulates row-order suffix sums over the codes.
   core::FeatureBinner binner;
   binner.import_edges(compute_borders(x));
   const std::vector<std::uint16_t> codes = binner.bin(x);
-  const bool hist = linalg::kernel_policy() == linalg::KernelPolicy::kFast;
 
   feature_gains_.assign(n_features_, 0.0);
   rng::Rng rng(config_.seed);
@@ -261,12 +198,8 @@ void OrderedBoostedTrees::fit(const Matrix& x, const Vector& y) {
       // the winner matches a sequential scan at every thread count.
       const bool use_pool = n * x.cols() >= kMinParallelSplitWork;
       const LevelCandidate best =
-          hist ? search_level_binned(binner, codes, n, x.cols(), grad, hess,
-                                     leaf_of, g_tot, h_tot,
-                                     config_.l2_leaf_reg, use_pool)
-               : search_level_exact(binner, codes, n, x.cols(), grad, hess,
-                                    leaf_of, g_tot, h_tot, config_.l2_leaf_reg,
-                                    use_pool);
+          search_level(binner, codes, n, x.cols(), grad, hess, leaf_of, g_tot,
+                       h_tot, config_.l2_leaf_reg, use_pool);
 
       if (!best.found) break;  // no usable split candidates (constant features)
       if (best.score > parent_score) {

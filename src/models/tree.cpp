@@ -87,38 +87,6 @@ void RegressionTree::fit(SortedDesign& design, const Vector& grad,
   flat_.add_tree(nodes_);
 }
 
-// Fast-tier fit path: histogram splits over pre-binned codes relax the
-// exact-scan split choice (thresholds limited to binner edges).
-// vmincqr: numeric-tier(tolerance)
-void RegressionTree::fit_binned(const Matrix& x, const Vector& grad,
-                                const Vector& hess, const TreeConfig& config,
-                                const core::FeatureBinner& binner,
-                                const std::vector<std::uint16_t>& codes) {
-  if (x.rows() == 0 || x.cols() == 0) {
-    throw std::invalid_argument(
-        "RegressionTree::fit_binned: empty design matrix");
-  }
-  if (grad.size() != x.rows() || hess.size() != x.rows()) {
-    throw std::invalid_argument(
-        "RegressionTree::fit_binned: grad/hess size mismatch");
-  }
-  if (binner.n_features() != x.cols() ||
-      codes.size() != x.rows() * x.cols()) {
-    throw std::invalid_argument(
-        "RegressionTree::fit_binned: binner/codes shape mismatch");
-  }
-  nodes_.clear();
-  leaf_node_index_.clear();
-  n_leaves_ = 0;
-  train_leaf_ids_.assign(x.rows(), -1);
-
-  std::vector<std::size_t> all_rows(x.rows());
-  std::iota(all_rows.begin(), all_rows.end(), std::size_t{0});
-  build_binned(grad, hess, config, binner, codes, x.cols(), all_rows, 0);
-  flat_.clear();
-  flat_.add_tree(nodes_);
-}
-
 void RegressionTree::import_nodes(std::vector<TreeNode> nodes) {
   if (nodes.empty()) {
     throw std::invalid_argument("RegressionTree::import_nodes: empty tree");
@@ -287,125 +255,6 @@ std::int32_t RegressionTree::build(SortedDesign& design, const Vector& grad,
       build(design, grad, hess, config, begin, begin + n_left, depth + 1);
   const std::int32_t right =
       build(design, grad, hess, config, begin + n_left, end, depth + 1);
-  nodes_[node_index].left = left;
-  nodes_[node_index].right = right;
-  return node_index;
-}
-
-std::int32_t RegressionTree::build_binned(
-    const Vector& grad, const Vector& hess, const TreeConfig& config,
-    const core::FeatureBinner& binner, const std::vector<std::uint16_t>& codes,
-    std::size_t n_features, std::vector<std::size_t>& rows, int depth) {
-  double g_total = 0.0, h_total = 0.0;
-  for (auto r : rows) {
-    g_total += grad[r];
-    h_total += hess[r];
-  }
-
-  const auto make_leaf = [&]() {
-    TreeNode leaf;
-    leaf.is_leaf = true;
-    leaf.value = -g_total / (h_total + config.lambda);
-    leaf.leaf_id = static_cast<std::int32_t>(n_leaves_++);
-    const auto node_index = static_cast<std::int32_t>(nodes_.size());
-    nodes_.push_back(leaf);
-    leaf_node_index_.push_back(node_index);
-    for (auto r : rows) train_leaf_ids_[r] = leaf.leaf_id;
-    return node_index;
-  };
-
-  if (depth >= config.max_depth || rows.size() < 2 * config.min_samples_leaf ||
-      rows.size() < 2) {
-    return make_leaf();
-  }
-
-  // Histogram split search, parallel across features like the exact scan:
-  // each feature accumulates one G/H/count histogram over the node's rows
-  // (O(n)), then sweeps the bin boundaries in ascending order. Per-chunk
-  // bests fold in ascending feature order, so the winner is the first strict
-  // maximum of a sequential (feature, boundary) scan at every thread count.
-  const double parent_score = g_total * g_total / (h_total + config.lambda);
-  const bool use_pool = rows.size() * n_features >= kMinParallelSplitWork;
-  const SplitCandidate best = parallel::parallel_deterministic_reduce(
-      n_features, /*grain=*/1, SplitCandidate{},
-      [&](std::size_t f_begin, std::size_t f_end) {
-        SplitCandidate local;
-        std::vector<double> g_hist, h_hist;
-        std::vector<std::size_t> n_hist;
-        for (std::size_t f = f_begin; f < f_end; ++f) {
-          const std::size_t bins = binner.n_bins(f);
-          if (bins < 2) continue;  // constant feature: nothing to split
-          g_hist.assign(bins, 0.0);
-          h_hist.assign(bins, 0.0);
-          n_hist.assign(bins, 0);
-          for (auto r : rows) {
-            const std::uint16_t b = codes[r * n_features + f];
-            g_hist[b] += grad[r];
-            h_hist[b] += hess[r];
-            ++n_hist[b];
-          }
-          double g_left = 0.0, h_left = 0.0;
-          std::size_t n_left = 0;
-          for (std::size_t b = 0; b + 1 < bins; ++b) {
-            g_left += g_hist[b];
-            h_left += h_hist[b];
-            n_left += n_hist[b];
-            const std::size_t n_right = rows.size() - n_left;
-            if (n_left < config.min_samples_leaf ||
-                n_right < config.min_samples_leaf) {
-              continue;
-            }
-            const double g_right = g_total - g_left;
-            const double h_right = h_total - h_left;
-            if (h_left < config.min_child_weight ||
-                h_right < config.min_child_weight) {
-              continue;
-            }
-            const double gain =
-                0.5 *
-                    (g_left * g_left / (h_left + config.lambda) +
-                     g_right * g_right / (h_right + config.lambda) -
-                     parent_score) -
-                config.gamma;
-            if (gain > local.gain) {
-              local.gain = gain;
-              local.feature = f;
-              local.threshold = binner.edge(f, b);
-            }
-          }
-        }
-        return local;
-      },
-      [](SplitCandidate acc, SplitCandidate part) {
-        return part.gain > acc.gain ? part : acc;
-      },
-      use_pool);
-
-  if (best.gain <= 0.0) return make_leaf();
-
-  // Partition on codes: `code <= boundary` IS `x <= edge` by the binner
-  // invariant, so the stored threshold and the code partition agree.
-  const std::uint16_t boundary = binner.bin_of(best.feature, best.threshold);
-  std::vector<std::size_t> left_rows, right_rows;
-  left_rows.reserve(rows.size());
-  right_rows.reserve(rows.size());
-  for (auto r : rows) {
-    (codes[r * n_features + best.feature] <= boundary ? left_rows : right_rows)
-        .push_back(r);
-  }
-  if (left_rows.empty() || right_rows.empty()) return make_leaf();
-
-  const auto node_index = static_cast<std::int32_t>(nodes_.size());
-  nodes_.emplace_back();  // placeholder; children may reallocate nodes_
-  nodes_[node_index].is_leaf = false;
-  nodes_[node_index].feature = best.feature;
-  nodes_[node_index].threshold = best.threshold;
-  nodes_[node_index].gain = best.gain;
-
-  const std::int32_t left = build_binned(grad, hess, config, binner, codes,
-                                         n_features, left_rows, depth + 1);
-  const std::int32_t right = build_binned(grad, hess, config, binner, codes,
-                                          n_features, right_rows, depth + 1);
   nodes_[node_index].left = left;
   nodes_[node_index].right = right;
   return node_index;

@@ -11,7 +11,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "core/binning.hpp"
 #include "linalg/matrix.hpp"
 #include "models/flat_forest.hpp"
 
@@ -93,18 +92,6 @@ class RegressionTree {
   void fit(SortedDesign& design, const Vector& grad, const Vector& hess,
            const TreeConfig& config);
 
-  /// Histogram-split variant of fit(): the split search scans pre-binned
-  /// codes (one G/H/count histogram per feature) with candidate thresholds
-  /// limited to the binner's edges, instead of every midpoint of the exact
-  /// presorted scan. Fully deterministic and thread-count invariant, but the
-  /// chosen splits can differ from fit()'s exact scan — fast-tier only
-  /// (linalg::KernelPolicy::kFast fit paths route here).
-  /// `codes` is the binner's row-major code matrix for x; throws
-  /// std::invalid_argument on shape mismatch with x or the binner.
-  void fit_binned(const Matrix& x, const Vector& grad, const Vector& hess,
-                  const TreeConfig& config, const core::FeatureBinner& binner,
-                  const std::vector<std::uint16_t>& codes);
-
   /// Prediction for one feature row of length d (must equal the training
   /// feature count; unchecked hot path).
   [[nodiscard]] double predict_row(const double* row) const;
@@ -144,7 +131,7 @@ class RegressionTree {
   void import_nodes(std::vector<TreeNode> nodes);
 
   /// The single-tree SoA planes predict() traverses (rebuilt by fit /
-  /// fit_binned / import_nodes, kept in sync by set_leaf_value). Ensemble
+  /// import_nodes, kept in sync by set_leaf_value). Ensemble
   /// models build their own multi-tree FlatForest from nodes() instead.
   [[nodiscard]] const FlatForest& flat() const noexcept { return flat_; }
 
@@ -154,13 +141,6 @@ class RegressionTree {
   std::int32_t build(SortedDesign& design, const Vector& grad,
                      const Vector& hess, const TreeConfig& config,
                      std::size_t begin, std::size_t end, int depth);
-
-  std::int32_t build_binned(const Vector& grad, const Vector& hess,
-                            const TreeConfig& config,
-                            const core::FeatureBinner& binner,
-                            const std::vector<std::uint16_t>& codes,
-                            std::size_t n_features,
-                            std::vector<std::size_t>& rows, int depth);
 
   std::vector<TreeNode> nodes_;
   FlatForest flat_;  // single-tree SoA mirror of nodes_ (see flat())

@@ -32,7 +32,6 @@
 #include "conformal/normalized.hpp"
 #include "conformal/split_cp.hpp"
 #include "core/pipeline.hpp"
-#include "linalg/kernels.hpp"
 #include "models/factory.hpp"
 #include "models/region.hpp"
 #include "parallel/thread_pool.hpp"
@@ -250,44 +249,35 @@ std::unique_ptr<models::IntervalRegressor> cqr_over(models::ModelKind kind) {
       kAlpha, models::make_quantile_pair(kind, kAlpha));
 }
 
-// Every test holds the bit-exact tier over fit and predict: the fast tier's
-// kernels allocate differently (the GP posterior among them).
-
 TEST(ServeAllocations, CqrLinear) {
-  const linalg::KernelPolicyGuard policy(linalg::KernelPolicy::kBitExact);
   expect_serve_pins(encode_identity_bundle(cqr_over(models::ModelKind::kLinear)),
                     fresh_batches(), {14, {10, 10, 10, 11, 11, 11, 11, 11, 20, 38}});
 }
 
 TEST(ServeAllocations, CqrXgboost) {
-  const linalg::KernelPolicyGuard policy(linalg::KernelPolicy::kBitExact);
   expect_serve_pins(
       encode_identity_bundle(cqr_over(models::ModelKind::kXgboost)),
       fresh_batches(), {3355, {4, 4, 4, 5, 5, 5, 5, 7, 10, 22}});
 }
 
 TEST(ServeAllocations, CqrCatboost) {
-  const linalg::KernelPolicyGuard policy(linalg::KernelPolicy::kBitExact);
   expect_serve_pins(
       encode_identity_bundle(cqr_over(models::ModelKind::kCatboost)),
       fresh_batches(), {698, {4, 4, 4, 5, 5, 5, 5, 7, 10, 22}});
 }
 
 TEST(ServeAllocations, CqrMlp) {
-  const linalg::KernelPolicyGuard policy(linalg::KernelPolicy::kBitExact);
   expect_serve_pins(encode_identity_bundle(cqr_over(models::ModelKind::kMlp)),
                     fresh_batches(), {18, {12, 12, 12, 13, 13, 13, 13, 15, 26, 54}});
 }
 
 TEST(ServeAllocations, GpInterval) {
-  const linalg::KernelPolicyGuard policy(linalg::KernelPolicy::kBitExact);
   expect_serve_pins(
       encode_identity_bundle(std::make_unique<models::GpIntervalRegressor>(kAlpha)),
       fresh_batches(), {10, {9, 10, 23, 25, 75, 44, 75, 75, 83, 294}});
 }
 
 TEST(ServeAllocations, SplitCp) {
-  const linalg::KernelPolicyGuard policy(linalg::KernelPolicy::kBitExact);
   expect_serve_pins(
       encode_identity_bundle(std::make_unique<conformal::SplitConformalRegressor>(
           kAlpha, models::make_point_regressor(models::ModelKind::kXgboost))),
@@ -295,7 +285,6 @@ TEST(ServeAllocations, SplitCp) {
 }
 
 TEST(ServeAllocations, NormalizedCp) {
-  const linalg::KernelPolicyGuard policy(linalg::KernelPolicy::kBitExact);
   expect_serve_pins(
       encode_identity_bundle(
           std::make_unique<conformal::NormalizedConformalRegressor>(
@@ -308,7 +297,6 @@ TEST(ServeAllocations, NormalizedCp) {
 // screen bundle serve_test's fixture builds: CQR-linear over 6 CFS-selected
 // columns of a wide monitor design.
 TEST(ServeAllocations, FitScreenBundle) {
-  const linalg::KernelPolicyGuard policy(linalg::KernelPolicy::kBitExact);
   silicon::GeneratorConfig gen_config;
   gen_config.n_chips = 48;
   gen_config.seed = 321;
@@ -331,7 +319,6 @@ TEST(ServeAllocations, FitScreenBundle) {
 }
 
 TEST(ServeAllocations, CvPlusPredictInterval) {
-  const linalg::KernelPolicyGuard policy(linalg::KernelPolicy::kBitExact);
   conformal::CvPlusRegressor model(
       kAlpha, models::make_point_regressor(models::ModelKind::kXgboost));
   const Problem train = make_problem(200, 7);
@@ -343,7 +330,6 @@ TEST(ServeAllocations, CvPlusPredictInterval) {
 int sign_group(const double* row, std::size_t) { return row[0] > 0.0 ? 1 : 0; }
 
 TEST(ServeAllocations, MondrianPredictInterval) {
-  const linalg::KernelPolicyGuard policy(linalg::KernelPolicy::kBitExact);
   conformal::MondrianCqr model(
       kAlpha, models::make_quantile_pair(models::ModelKind::kLinear, kAlpha),
       sign_group);

@@ -18,7 +18,6 @@
 #include "conformal/normalized.hpp"
 #include "conformal/split_cp.hpp"
 #include "core/pipeline.hpp"
-#include "linalg/kernels.hpp"
 #include "models/elastic_net.hpp"
 #include "models/factory.hpp"
 #include "models/gbt.hpp"
@@ -482,8 +481,7 @@ Problem tie_heavy_problem() {
   return p;
 }
 
-std::uint64_t cqr_bundle_digest(models::ModelKind kind) {
-  const Problem p = tie_heavy_problem();
+std::uint64_t cqr_bundle_digest(models::ModelKind kind, const Problem& p) {
   const core::MiscoverageAlpha alpha{0.1};
   auto cqr = std::make_unique<conformal::ConformalizedQuantileRegressor>(
       alpha, models::make_quantile_pair(kind, alpha));
@@ -498,14 +496,13 @@ std::uint64_t cqr_bundle_digest(models::ModelKind kind) {
   return fnv1a(artifact::encode_bundle(bundle));
 }
 
-/// Refits at widths 1, 2 and 8 on the bit-exact tier (whatever the ambient
-/// policy); every digest must equal the pinned one.
+/// Refits at widths 1, 2 and 8; every digest must equal the pinned one.
 void expect_bundle_digest_at_widths(models::ModelKind kind,
-                                    std::uint64_t pinned) {
-  const linalg::KernelPolicyGuard policy(linalg::KernelPolicy::kBitExact);
+                                    std::uint64_t pinned,
+                                    const Problem& p = tie_heavy_problem()) {
   for (const std::size_t width : {1, 2, 8}) {
     parallel::set_max_threads(width);
-    const std::uint64_t got = cqr_bundle_digest(kind);
+    const std::uint64_t got = cqr_bundle_digest(kind, p);
     EXPECT_EQ(got, pinned) << "width " << width << ": digest 0x" << std::hex
                            << got;
   }
@@ -520,6 +517,25 @@ TEST(ArtifactDigest, CqrXgboostBundleBytesArePinned) {
 TEST(ArtifactDigest, CqrCatboostBundleBytesArePinned) {
   expect_bundle_digest_at_widths(models::ModelKind::kCatboost,
                                  0xbb65b4105d2a0e1dULL);
+}
+
+// The dense-kernel fits. Besides the tie-heavy design, the MLP is pinned at
+// paper scale: 117 chips, whose 88-row proper-training part is not a
+// multiple of the MLP's 32-row gradient chunk, at 8 and 32 features.
+TEST(ArtifactDigest, CqrMlpBundleBytesArePinned) {
+  expect_bundle_digest_at_widths(models::ModelKind::kMlp,
+                                 0xb0f282d881fb4613ULL);
+  expect_bundle_digest_at_widths(models::ModelKind::kMlp,
+                                 0x1a603828e93141e3ULL,
+                                 make_problem(117, 8, 117));
+  expect_bundle_digest_at_widths(models::ModelKind::kMlp,
+                                 0x878712b49873977cULL,
+                                 make_problem(117, 32, 117));
+}
+
+TEST(ArtifactDigest, CqrLinearBundleBytesArePinned) {
+  expect_bundle_digest_at_widths(models::ModelKind::kLinear,
+                                 0x1898f0efd167ca87ULL);
 }
 
 // --- golden fixture ---------------------------------------------------------

@@ -2,7 +2,11 @@
 // specific selection, report rendering.
 #include <gtest/gtest.h>
 
-#include "core/contracts.hpp"
+#include <cstdint>
+#include <utility>
+#include <vector>
+
+#include "artifact/bundle.hpp"
 #include "core/experiment.hpp"
 #include "core/pipeline.hpp"
 #include "core/report.hpp"
@@ -109,27 +113,35 @@ TEST(Pipeline, SweepsAreClippedToBudget) {
   EXPECT_FALSE(sweep.empty());
 }
 
-TEST(Pipeline, FitScreenUnderParallelMapIsAContractViolation) {
-  // fit_screen scopes the process-wide kernel policy to its fit, so two of
-  // them on pool lanes would race on it: it must refuse to run in a pool
-  // task. The same call outside the pool is the control.
+TEST(Pipeline, FitScreenInParallelMapMatchesSequentialBytes) {
+  // fit_screen shares no mutable state between calls, so fits running
+  // concurrently on pool lanes encode exactly the bundles that fits run one
+  // after another do.
   const auto generated = silicon::generate_dataset(small_config());
-  const auto data = assemble_scenario(generated.dataset,
-                                      Scenario{0.0, 25.0, FeatureSet::kBoth});
+  const std::vector<std::pair<Scenario, models::ModelKind>> cases = {
+      {{0.0, 25.0, FeatureSet::kBoth}, models::ModelKind::kLinear},
+      {{24.0, 125.0, FeatureSet::kBoth}, models::ModelKind::kCatboost},
+      {{48.0, 25.0, FeatureSet::kBoth}, models::ModelKind::kMlp},
+      {{24.0, 25.0, FeatureSet::kParametricOnly}, models::ModelKind::kXgboost}};
   const PipelineConfig config;
-  EXPECT_NO_THROW(
-      (void)fit_screen(data, models::ModelKind::kLinear, config, 4));
+  const auto encoded = [&](std::size_t i) {
+    const auto& [scenario, kind] = cases[i];
+    const auto data = assemble_scenario(generated.dataset, scenario);
+    return artifact::encode_bundle(
+        make_screen_bundle(scenario, data, fit_screen(data, kind, config, 4)));
+  };
+  std::vector<std::vector<std::uint8_t>> sequential;
+  for (std::size_t i = 0; i < cases.size(); ++i) {
+    sequential.push_back(encoded(i));
+  }
   for (const std::size_t width : {2, 8}) {
     parallel::set_max_threads(width);
-    EXPECT_THROW((void)parallel_map<int>(2,
-                                         [&](std::size_t) {
-                                           (void)fit_screen(
-                                               data, models::ModelKind::kLinear,
-                                               config, 4);
-                                           return 0;
-                                         }),
-                 contract_violation)
-        << "width " << width;
+    const auto concurrent =
+        parallel_map<std::vector<std::uint8_t>>(cases.size(), encoded);
+    for (std::size_t i = 0; i < cases.size(); ++i) {
+      EXPECT_TRUE(concurrent[i] == sequential[i])
+          << "case " << i << " differs at width " << width;
+    }
   }
   parallel::set_max_threads(0);
 }

@@ -35,7 +35,6 @@ using vmincqr::lint::LayerConfig;
 using vmincqr::lint::lint_file;
 using vmincqr::lint::lint_source;
 using vmincqr::lint::load_layers;
-using vmincqr::lint::load_tier_manifest;
 using vmincqr::lint::parse_layers;
 using vmincqr::lint::SourceFile;
 
@@ -54,8 +53,6 @@ std::string callgraph_dir() {
 CallGraphOptions callgraph_fixture_options() {
   CallGraphOptions opts;
   opts.layers = load_layers(callgraph_dir() + "/layers.toml");
-  opts.tolerance_manifest =
-      load_tier_manifest(callgraph_dir() + "/numeric_tiers.toml");
   return opts;
 }
 
@@ -397,14 +394,11 @@ TEST(lint, CallGraphFixtureFiresEveryCallGraphRuleExactlyOnce) {
   for (const auto& d : analysis.diagnostics) {
     dump += vmincqr::lint::format(d) + "\n";
   }
-  ASSERT_EQ(analysis.diagnostics.size(), 5u) << dump;
+  ASSERT_EQ(analysis.diagnostics.size(), 4u) << dump;
   std::set<std::string> fired;
   for (const auto& d : analysis.diagnostics) {
     EXPECT_TRUE(fired.insert(d.rule).second)
         << "rule fired twice: " << d.rule << "\n" << dump;
-    // The committed tolerance kernel must stay silent: its float
-    // accumulation is the sanctioned opt-out.
-    EXPECT_EQ(d.message.find("'fast_norm'"), std::string::npos) << d.message;
   }
   std::set<std::string> expected;
   for (const auto& rule : vmincqr::lint::callgraph_rule_table()) {
@@ -428,35 +422,6 @@ TEST(lint, CallLayerViolationAnchorsAtTheServeRoot) {
     EXPECT_NE(d.message.find("handle_request -> refresh_model -> fit"),
               std::string::npos)
         << d.message;
-  }
-  EXPECT_TRUE(seen);
-}
-
-TEST(lint, TierRecordsAuditEveryAnnotation) {
-  const auto analysis =
-      analyze_call_graph_directory(callgraph_dir(), callgraph_fixture_options());
-  ASSERT_EQ(analysis.tiers.size(), 2u);
-  EXPECT_EQ(analysis.tiers[0].function, "fast_norm");
-  EXPECT_EQ(analysis.tiers[0].tier, "tolerance");
-  EXPECT_EQ(analysis.tiers[1].function, "rogue_kernel");
-  EXPECT_EQ(analysis.tiers[1].tier, "tolerance");
-  EXPECT_LT(analysis.tiers[0].line, analysis.tiers[1].line);
-}
-
-TEST(lint, StaleManifestEntriesAreReportedAgainstTheManifest) {
-  CallGraphOptions opts = callgraph_fixture_options();
-  opts.tolerance_manifest.insert("ghost_kernel");
-  opts.manifest_display = "numeric_tiers.toml";
-  const auto analysis = analyze_call_graph_directory(callgraph_dir(), opts);
-  bool seen = false;
-  for (const auto& d : analysis.diagnostics) {
-    if (d.rule != "numeric-tier-manifest" ||
-        d.message.find("'ghost_kernel'") == std::string::npos) {
-      continue;
-    }
-    seen = true;
-    EXPECT_EQ(d.file, "numeric_tiers.toml");
-    EXPECT_NE(d.message.find("stale"), std::string::npos);
   }
   EXPECT_TRUE(seen);
 }
@@ -595,18 +560,14 @@ TEST(lint, CallGraphSarifIsByteIdenticalAcrossThreadWidths) {
   const CallGraphOptions opts = callgraph_fixture_options();
   vmincqr::parallel::set_max_threads(1);
   const auto narrow = analyze_call_graph_directory(callgraph_dir(), opts);
-  const std::string narrow_sarif =
-      vmincqr::lint::to_sarif(narrow.diagnostics, narrow.tiers);
+  const std::string narrow_sarif = vmincqr::lint::to_sarif(narrow.diagnostics);
   vmincqr::parallel::set_max_threads(8);
   const auto wide = analyze_call_graph_directory(callgraph_dir(), opts);
-  const std::string wide_sarif =
-      vmincqr::lint::to_sarif(wide.diagnostics, wide.tiers);
+  const std::string wide_sarif = vmincqr::lint::to_sarif(wide.diagnostics);
   vmincqr::parallel::set_max_threads(0);  // restore env/hardware resolution
   EXPECT_EQ(narrow_sarif, wide_sarif);
-  // The comparison is meaningful only when the run found things and the
-  // tier audit trail made it into the log.
+  // The comparison is meaningful only when the run found things.
   EXPECT_NE(narrow_sarif.find("\"ruleId\""), std::string::npos);
-  EXPECT_NE(narrow_sarif.find("\"numericTiers\""), std::string::npos);
 }
 
 // --- SARIF output ---------------------------------------------------------

@@ -10,7 +10,6 @@
 #include <numeric>
 #include <vector>
 
-#include "linalg/kernels.hpp"
 #include "models/gbt.hpp"
 #include "models/ordered_boost.hpp"
 #include "models/tree.hpp"
@@ -255,7 +254,7 @@ TEST(OrderedBoost, ValidatesConfig) {
   EXPECT_THROW(OrderedBoostedTrees{bad2}, std::invalid_argument);
 }
 
-// --- exact-tier bit-exactness ------------------------------------------------
+// --- bit-exactness against the sort-per-node oracle -------------------------
 
 /// The exact builder RegressionTree::fit replaced, kept as a test oracle: every
 /// node copies its rows, sorts them per feature by (x, row) and scans the
@@ -440,11 +439,9 @@ struct TieHeavyDesign {
   }
 };
 
-/// Refits at widths 1, 2 and 8 on the bit-exact tier (whatever the ambient
-/// policy); every digest must equal the pinned one.
+/// Refits at widths 1, 2 and 8; every digest must equal the pinned one.
 void expect_pinned_at_widths(const std::function<std::uint64_t()>& digest,
                              std::uint64_t pinned) {
-  const linalg::KernelPolicyGuard policy(linalg::KernelPolicy::kBitExact);
   for (const std::size_t width : {1, 2, 8}) {
     parallel::set_max_threads(width);
     const std::uint64_t got = digest();

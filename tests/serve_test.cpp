@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <bit>
+#include <cmath>
 #include <cstdint>
 #include <memory>
 #include <stdexcept>
@@ -15,7 +16,6 @@
 #include "conformal/cqr.hpp"
 #include "core/pipeline.hpp"
 #include "data/scaler.hpp"
-#include "linalg/kernels.hpp"
 #include "models/factory.hpp"
 #include "parallel/thread_pool.hpp"
 #include "rng/rng.hpp"
@@ -211,6 +211,24 @@ Problem make_problem(std::size_t n, std::size_t d) {
   return p;
 }
 
+/// Fits a CQR bundle of `kind` on `train` that serves every column as is,
+/// and encodes it.
+std::vector<std::uint8_t> encode_cqr_bundle(models::ModelKind kind,
+                                            const Problem& train) {
+  const core::MiscoverageAlpha alpha{0.1};
+  auto cqr = std::make_unique<conformal::ConformalizedQuantileRegressor>(
+      alpha, models::make_quantile_pair(kind, alpha));
+  cqr->fit(train.x, train.y);
+  artifact::VminBundle bundle;
+  bundle.label = cqr->name();
+  for (std::size_t c = 0; c < train.x.cols(); ++c) {
+    bundle.dataset_columns.push_back(c);
+    bundle.selected_features.push_back(c);
+  }
+  bundle.predictor = std::move(cqr);
+  return artifact::encode_bundle(bundle);
+}
+
 /// 64-bit FNV-1a over the bits of every served bound, lower then upper.
 std::uint64_t interval_digest(
     const std::vector<serve::IntervalPrediction>& served) {
@@ -236,23 +254,7 @@ TEST(ServePredictor, BenchmarkXgboostBundleServesPinnedIntervals) {
   // training rows: the pinned coverage is partly in-sample by construction.
   const Problem batch = make_problem(4096, kFeatures);
 
-  std::vector<std::uint8_t> bytes;
-  {
-    // The pins are bit-exact-tier values, whatever the ambient policy.
-    const linalg::KernelPolicyGuard policy(linalg::KernelPolicy::kBitExact);
-    const core::MiscoverageAlpha alpha{0.1};
-    auto cqr = std::make_unique<conformal::ConformalizedQuantileRegressor>(
-        alpha, models::make_quantile_pair(models::ModelKind::kXgboost, alpha));
-    cqr->fit(train.x, train.y);
-    artifact::VminBundle bundle;
-    bundle.label = cqr->name();
-    for (std::size_t c = 0; c < kFeatures; ++c) {
-      bundle.dataset_columns.push_back(c);
-      bundle.selected_features.push_back(c);
-    }
-    bundle.predictor = std::move(cqr);
-    bytes = artifact::encode_bundle(bundle);
-  }
+  const auto bytes = encode_cqr_bundle(models::ModelKind::kXgboost, train);
   EXPECT_EQ(bytes.size(), 356189u);
   const auto predictor = serve::VminPredictor::from_bytes(bytes);
 
@@ -276,6 +278,52 @@ TEST(ServePredictor, BenchmarkXgboostBundleServesPinnedIntervals) {
         << "width " << width << ": digest 0x" << std::hex << digest;
   }
   parallel::set_max_threads(0);
+}
+
+// --- dense-kernel bundles, pinned -------------------------------------------
+//
+// CQR-MLP and CQR-Linear serve through the dense kernels (gemm in the MLP's
+// forward pass, gemv and dot in the linear models). Both are fitted on the
+// tie-heavy design of artifact_test's bundle digests, and the FNV-1a digest
+// of every bound served over its 421 rows is pinned at widths 1, 2 and 8.
+
+/// 421 rows x 14 columns: thirteen columns on a 0.25 grid (heavy ties) and
+/// one constant column — the same design as artifact_test's digest pins.
+Problem tie_heavy_problem() {
+  rng::Rng rng(2024);
+  Problem p{linalg::Matrix(421, 14), linalg::Vector(421)};
+  for (std::size_t i = 0; i < p.x.rows(); ++i) {
+    for (std::size_t c = 0; c + 1 < p.x.cols(); ++c) {
+      p.x(i, c) = std::round(4.0 * rng.normal()) / 4.0;
+    }
+    p.x(i, p.x.cols() - 1) = 1.5;
+    p.y[i] = 0.55 +
+             0.01 * (p.x(i, 0) - 0.5 * p.x(i, 3) + 0.25 * p.x(i, 1) * p.x(i, 2)) +
+             rng.normal(0.0, 0.004);
+  }
+  return p;
+}
+
+void expect_served_digest_at_widths(models::ModelKind kind,
+                                    std::uint64_t pinned) {
+  const Problem p = tie_heavy_problem();
+  const auto predictor =
+      serve::VminPredictor::from_bytes(encode_cqr_bundle(kind, p));
+  for (const std::size_t width : {1, 2, 8}) {
+    parallel::set_max_threads(width);
+    const std::uint64_t digest =
+        interval_digest(predictor.predict_batch(p.x));
+    EXPECT_EQ(digest, pinned)
+        << "width " << width << ": digest 0x" << std::hex << digest;
+  }
+  parallel::set_max_threads(0);
+}
+
+TEST(ServePredictor, MlpAndLinearBundlesServePinnedIntervals) {
+  expect_served_digest_at_widths(models::ModelKind::kMlp,
+                                 0x1d9ea78790829906ULL);
+  expect_served_digest_at_widths(models::ModelKind::kLinear,
+                                 0x86bc91ee96d5323fULL);
 }
 
 }  // namespace

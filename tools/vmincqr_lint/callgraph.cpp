@@ -290,7 +290,6 @@ std::vector<FunctionDef> extract_definitions(const Unit& unit) {
     d.arity_min = ps.commas_before_default != kNoFunction
                       ? ps.commas_before_default
                       : n_params;
-    d.tier = numeric_tier_at(unit, d.line);
     defs.push_back(std::move(d));
   }
   return defs;
@@ -592,49 +591,10 @@ CallGraphAnalysis analyze_call_graph(const std::vector<SourceFile>& files,
     }
     for (std::size_t di : g.reachable_from(roots)) {
       const FunctionDef& d = defs[di];
-      const std::string tier = d.tier.empty() ? "bit_exact" : d.tier;
       numeric_rules_for_function(g.display_of(d.tu), g.unit(d.tu),
                                  d.params_open, d.body_first, d.body_last,
-                                 d.display, tier, raw);
+                                 d.display, raw);
     }
-  }
-
-  // --- Tier records + manifest enforcement (every annotated definition,
-  // reachable or not: the manifest is the reviewable source of truth). ---
-  {
-    std::set<std::string> used_entries;
-    for (std::size_t di = 0; di < defs.size(); ++di) {
-      const FunctionDef& d = defs[di];
-      if (d.tier.empty()) continue;
-      out.tiers.push_back({d.display, g.display_of(d.tu), d.line, d.tier});
-      if (d.tier != "tolerance") continue;
-      if (options.tolerance_manifest.count(d.display) > 0) {
-        used_entries.insert(d.display);
-      } else if (options.tolerance_manifest.count(d.name) > 0) {
-        used_entries.insert(d.name);
-      } else {
-        raw.push_back(
-            {g.display_of(d.tu), d.line, "numeric-tier-manifest",
-             "'" + d.display + "' is annotated numeric-tier(tolerance) but "
-                 "is not listed in " + options.manifest_display +
-                 "; every bit-exactness opt-out must be committed to the "
-                 "manifest so the relaxation is reviewable in one place"});
-      }
-    }
-    for (const std::string& entry : options.tolerance_manifest) {
-      if (used_entries.count(entry) == 0) {
-        raw.push_back(
-            {options.manifest_display, 1, "numeric-tier-manifest",
-             "manifest entry '" + entry + "' matches no function annotated "
-                 "numeric-tier(tolerance); remove the stale entry or "
-                 "annotate the function"});
-      }
-    }
-    std::sort(out.tiers.begin(), out.tiers.end(),
-              [](const TierRecord& a, const TierRecord& b) {
-                return std::tie(a.file, a.line, a.function) <
-                       std::tie(b.file, b.line, b.function);
-              });
   }
 
   // --- allow() suppressions, then the canonical total order. ---

@@ -8,11 +8,9 @@
 //     (fit, calibrate, ...) that serve/artifact functions must not reach
 //     through ANY call chain, even when every include edge is legal
 //     (call-layer-violation).
-//   * numeric-safety tiers — functions reachable from predict/fit entry
-//     points run the numeric rules (numeric.hpp): fp-narrowing,
-//     float-accumulator, unguarded-division, governed by
-//     `// vmincqr: numeric-tier(...)` annotations that must be mirrored in
-//     a committed manifest (numeric-tier-manifest).
+//   * numeric safety — functions reachable from predict/fit entry points
+//     run the numeric rules (numeric.hpp): fp-narrowing, float-accumulator,
+//     unguarded-division.
 //
 // Resolution semantics (deliberately conservative, documented in
 // DESIGN.md §6): overload sets are keyed by unqualified name; a call
@@ -62,7 +60,6 @@ struct FunctionDef {
   std::size_t body_last = 0;    // token index of the matching '}'
   std::size_t arity_min = 0;    // parameters without defaults
   std::size_t arity_max = 0;    // all parameters (kNoFunction if variadic)
-  std::string tier;  // explicit numeric-tier annotation, "" = default
 };
 
 /// One call site inside a definition's body.
@@ -113,19 +110,11 @@ class CallGraph {
 
 struct CallGraphOptions {
   LayerConfig layers;
-  /// Functions committed as tolerance-tier (parse_tier_manifest). Entries
-  /// match a definition's display name or bare name.
-  std::set<std::string> tolerance_manifest;
-  /// Manifest path for diagnostics (stale entries report against it).
-  std::string manifest_display = "numeric_tiers.toml";
 };
 
 struct CallGraphAnalysis {
   /// Sorted by (file, line, rule, message); allow() suppressions applied.
   std::vector<Diagnostic> diagnostics;
-  /// Every explicit numeric-tier annotation, sorted by (file, line) —
-  /// recorded in SARIF run properties as the bit-exactness audit trail.
-  std::vector<TierRecord> tiers;
 };
 
 /// Runs every call-graph rule over the file set.

@@ -402,18 +402,13 @@ const std::vector<RuleInfo>& callgraph_rule_table() {
        "modules listed in layers.toml [call_forbidden] must not transitively "
        "call the named training symbols, even through legal includes"},
       {"fp-narrowing",
-       "no double-to-float narrowing in bit_exact-tier functions on "
-       "predict/fit paths; declare numeric-tier(tolerance) to opt out"},
+       "no double-to-float narrowing in functions on predict/fit paths"},
       {"float-accumulator",
-       "no float loop accumulators in bit_exact-tier functions on "
-       "predict/fit paths; accumulate in double or opt into tolerance tier"},
+       "no float loop accumulators in functions on predict/fit paths; "
+       "accumulate in double"},
       {"unguarded-division",
        "divisors on predict/fit paths must be compared, contract-checked, or "
-       "pinned nonzero before the division (applies at every tier)"},
-      {"numeric-tier-manifest",
-       "every numeric-tier(tolerance) annotation must be mirrored in the "
-       "committed tier manifest, and the manifest must carry no stale "
-       "entries"},
+       "pinned nonzero before the division"},
   };
   return table;
 }

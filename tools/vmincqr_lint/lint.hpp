@@ -17,7 +17,7 @@
 //      dataflow rules (dataflow.hpp) over a statement/call view with local
 //      symbol taint tracking.
 //   3. call graph (callgraph.hpp) — call-level layering (serve never reaches
-//      fit) and the numeric-safety tiers. Cross-file, like pass 1.
+//      fit) and the numeric-safety rules. Cross-file, like pass 1.
 //
 // Suppression: append `// vmincqr-lint: allow(<rule-id>)` to the offending
 // line, or place it alone on the line above. Several ids may be listed,

@@ -14,9 +14,6 @@
 //   --phase=LIST          comma list of passes to run (default 1,2,3):
 //                         1 include-graph, 2 per-TU token+dataflow,
 //                         3 cross-TU call graph
-//   --tier-manifest=FILE  numeric-tier manifest for the pass-3
-//                         numeric-tier-manifest rule (default: no manifest,
-//                         so any tolerance annotation is a finding)
 //   --skip=LIST           drop findings for these rule ids (validated)
 //   --only=LIST           keep only findings for these rule ids (validated)
 //   --exclude=SUBSTR      drop collected files whose path contains SUBSTR
@@ -46,7 +43,6 @@
 #include "fix.hpp"
 #include "include_graph.hpp"
 #include "lint.hpp"
-#include "numeric.hpp"
 #include "sarif.hpp"
 
 namespace fs = std::filesystem;
@@ -78,7 +74,7 @@ int usage() {
   std::fprintf(stderr,
                "usage: vmincqr_lint [--rules] [--format=text|sarif] "
                "[--layers=FILE] [--include-root=DIR] [--phase=1,2,3] "
-               "[--tier-manifest=FILE] [--skip=LIST] [--only=LIST] "
+               "[--skip=LIST] [--only=LIST] "
                "[--exclude=SUBSTR]... [--fix] "
                "[--budget-ms=N] <file-or-dir>...\n");
   return 2;
@@ -111,7 +107,6 @@ int main(int argc, char** argv) {
   std::string format_name = "text";
   std::string layers_path;
   std::string include_root;
-  std::string tier_manifest_path;
   std::set<int> phases = {1, 2, 3};
   std::set<std::string> skip_rules;
   std::set<std::string> only_rules;
@@ -154,10 +149,6 @@ int main(int argc, char** argv) {
         phases.insert(p[0] - '0');
       }
       if (phases.empty()) return usage();
-      continue;
-    }
-    if (arg.rfind("--tier-manifest=", 0) == 0) {
-      tier_manifest_path = arg.substr(16);
       continue;
     }
     if (arg.rfind("--skip=", 0) == 0) {
@@ -227,7 +218,6 @@ int main(int argc, char** argv) {
   if (include_root.empty() && !dir_args.empty()) include_root = dir_args[0];
 
   std::vector<vmincqr::lint::Diagnostic> diagnostics;
-  std::vector<vmincqr::lint::TierRecord> tiers;
   try {
     // --fix first so diagnostics reflect the rewritten tree.
     if (fix) {
@@ -279,21 +269,14 @@ int main(int argc, char** argv) {
           diagnostics.push_back(std::move(d));
         }
       }
-      // Pass 3: cross-TU call graph (call-level layering, numeric-safety
-      // tiers).
+      // Pass 3: cross-TU call graph (call-level layering, numeric safety).
       if (phases.count(3) > 0) {
         vmincqr::lint::CallGraphOptions options;
         options.layers = config;
-        if (!tier_manifest_path.empty()) {
-          options.tolerance_manifest =
-              vmincqr::lint::load_tier_manifest(tier_manifest_path);
-          options.manifest_display = tier_manifest_path;
-        }
         auto analysis = vmincqr::lint::analyze_call_graph(sources, options);
         for (auto& d : analysis.diagnostics) {
           diagnostics.push_back(std::move(d));
         }
-        tiers = std::move(analysis.tiers);
       }
     }
   } catch (const std::exception& e) {
@@ -313,9 +296,7 @@ int main(int argc, char** argv) {
   }
 
   if (format_name == "sarif") {
-    std::printf(
-        "%s",
-        vmincqr::lint::to_sarif(diagnostics, tiers).c_str());
+    std::printf("%s", vmincqr::lint::to_sarif(diagnostics).c_str());
   } else {
     for (const auto& d : diagnostics) {
       std::printf("%s\n", vmincqr::lint::format(d).c_str());

@@ -1,46 +1,13 @@
 #include "numeric.hpp"
 
 #include <cstdlib>
-#include <fstream>
-#include <map>
-#include <sstream>
-#include <stdexcept>
+#include <set>
 #include <utility>
 
 #include "parse.hpp"
 
 namespace vmincqr::lint {
 namespace {
-
-std::string trim(const std::string& s) {
-  const auto b = s.find_first_not_of(" \t\r");
-  if (b == std::string::npos) return "";
-  const auto e = s.find_last_not_of(" \t\r");
-  return s.substr(b, e - b + 1);
-}
-
-std::vector<std::string> parse_string_list(const std::string& raw,
-                                           std::size_t line_no) {
-  const std::string s = trim(raw);
-  if (s.size() < 2 || s.front() != '[' || s.back() != ']') {
-    throw std::runtime_error("numeric_tiers.toml:" + std::to_string(line_no) +
-                             ": expected a [\"...\"] list");
-  }
-  std::vector<std::string> out;
-  std::stringstream ss(s.substr(1, s.size() - 2));
-  std::string item;
-  while (std::getline(ss, item, ',')) {
-    item = trim(item);
-    if (item.empty()) continue;
-    if (item.size() < 2 || item.front() != '"' || item.back() != '"') {
-      throw std::runtime_error("numeric_tiers.toml:" +
-                               std::to_string(line_no) +
-                               ": list items must be quoted strings");
-    }
-    out.push_back(item.substr(1, item.size() - 2));
-  }
-  return out;
-}
 
 /// True when the numeric literal text denotes a nonzero value.
 bool nonzero_literal(const std::string& text) {
@@ -136,64 +103,13 @@ bool adjacent(const Token& a, const Token& b) {
 
 }  // namespace
 
-std::set<std::string> parse_tier_manifest(const std::string& toml_text) {
-  std::set<std::string> names;
-  std::stringstream ss(toml_text);
-  std::string raw;
-  std::string section;
-  std::size_t line_no = 0;
-  while (std::getline(ss, raw)) {
-    ++line_no;
-    std::string line = trim(raw);
-    const auto hash = line.find('#');
-    if (hash != std::string::npos) line = trim(line.substr(0, hash));
-    if (line.empty()) continue;
-    if (line.front() == '[') {
-      if (line.back() != ']') {
-        throw std::runtime_error("numeric_tiers.toml:" +
-                                 std::to_string(line_no) +
-                                 ": unterminated section header");
-      }
-      section = trim(line.substr(1, line.size() - 2));
-      if (section != "tolerance") {
-        throw std::runtime_error("numeric_tiers.toml:" +
-                                 std::to_string(line_no) +
-                                 ": unknown section [" + section +
-                                 "] (expected [tolerance])");
-      }
-      continue;
-    }
-    const auto eq = line.find('=');
-    if (eq == std::string::npos || section != "tolerance" ||
-        trim(line.substr(0, eq)) != "functions") {
-      throw std::runtime_error(
-          "numeric_tiers.toml:" + std::to_string(line_no) +
-          ": expected `functions = [\"...\"]` under [tolerance]");
-    }
-    for (auto& name : parse_string_list(line.substr(eq + 1), line_no)) {
-      names.insert(std::move(name));
-    }
-  }
-  return names;
-}
-
-std::set<std::string> load_tier_manifest(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) throw std::runtime_error("vmincqr_lint: cannot read " + path);
-  std::ostringstream ss;
-  ss << in.rdbuf();
-  return parse_tier_manifest(ss.str());
-}
-
 void numeric_rules_for_function(const std::string& path, const Unit& unit,
                                 std::size_t params_open,
                                 std::size_t body_first, std::size_t body_last,
                                 const std::string& display,
-                                const std::string& tier,
                                 std::vector<Diagnostic>& out) {
   const auto& t = unit.tokens;
   if (body_last >= t.size() || params_open >= t.size()) return;
-  const bool bit_exact = tier != "tolerance";
 
   // --- fp-narrowing + float locals (shared scan) -------------------------
   std::set<std::string> float_locals;
@@ -201,29 +117,19 @@ void numeric_rules_for_function(const std::string& path, const Unit& unit,
     if (t[i].kind != TokKind::kIdent || t[i].text != "float") continue;
     // static_cast<float>(...)
     if (i >= 2 && t[i - 1].text == "<" && t[i - 2].text == "static_cast") {
-      if (bit_exact) {
-        out.push_back(
-            {path, t[i].line, "fp-narrowing",
-             "static_cast<float> narrows double-precision state in "
-             "bit_exact-tier function '" + display +
-                 "'; keep double, or annotate the function "
-                 "`// vmincqr: numeric-tier(tolerance)` and list it in the "
-                 "tier manifest"});
-      }
+      out.push_back({path, t[i].line, "fp-narrowing",
+                     "static_cast<float> narrows double-precision state in "
+                     "predict/fit-reachable function '" +
+                         display + "'; keep double"});
       continue;
     }
     // C cast: ( float )
     if (i >= 1 && i + 1 <= body_last && t[i - 1].text == "(" &&
         t[i + 1].text == ")") {
-      if (bit_exact) {
-        out.push_back(
-            {path, t[i].line, "fp-narrowing",
-             "(float) cast narrows double-precision state in bit_exact-tier "
-             "function '" + display +
-                 "'; keep double, or annotate the function "
-                 "`// vmincqr: numeric-tier(tolerance)` and list it in the "
-                 "tier manifest"});
-      }
+      out.push_back({path, t[i].line, "fp-narrowing",
+                     "(float) cast narrows double-precision state in "
+                     "predict/fit-reachable function '" +
+                         display + "'; keep double"});
       continue;
     }
     // Declaration: `float name ...` inside the body.
@@ -259,19 +165,17 @@ void numeric_rules_for_function(const std::string& path, const Unit& unit,
     const bool literal_init =
         init_last == init_first + 1 && (t[init_first].kind == TokKind::kFloat ||
                                         t[init_first].kind == TokKind::kInt);
-    if (bit_exact && init_last > init_first && !literal_init) {
-      out.push_back(
-          {path, t[i].line, "fp-narrowing",
-           "'float " + name + "' is initialized from a wider expression in "
-           "bit_exact-tier function '" + display +
-               "'; keep double, or annotate the function "
-               "`// vmincqr: numeric-tier(tolerance)` and list it in the "
-               "tier manifest"});
+    if (init_last > init_first && !literal_init) {
+      out.push_back({path, t[i].line, "fp-narrowing",
+                     "'float " + name +
+                         "' is initialized from a wider expression in "
+                         "predict/fit-reachable function '" +
+                         display + "'; keep double"});
     }
   }
 
   // --- float-accumulator -------------------------------------------------
-  if (bit_exact && !float_locals.empty()) {
+  if (!float_locals.empty()) {
     const auto loops = loop_ranges(t, body_first + 1, body_last);
     auto in_loop = [&](std::size_t i) {
       for (const auto& [lo, hi] : loops) {
@@ -297,18 +201,16 @@ void numeric_rules_for_function(const std::string& path, const Unit& unit,
         accum = true;  // name = name + ...
       }
       if (accum && fired.insert({t[i].line, name}).second) {
-        out.push_back(
-            {path, t[i].line, "float-accumulator",
-             "'" + name + "' accumulates in float inside a loop in "
-             "bit_exact-tier function '" + display +
-                 "'; accumulate in double (or annotate "
-                 "`// vmincqr: numeric-tier(tolerance)` and list the "
-                 "function in the tier manifest)"});
+        out.push_back({path, t[i].line, "float-accumulator",
+                       "'" + name +
+                           "' accumulates in float inside a loop in "
+                           "predict/fit-reachable function '" +
+                           display + "'; accumulate in double"});
       }
     }
   }
 
-  // --- unguarded-division (every tier) -----------------------------------
+  // --- unguarded-division -------------------------------------------------
   const std::set<std::string> guarded =
       guarded_names(t, params_open, body_last);
   std::set<std::pair<std::size_t, std::string>> fired_div;

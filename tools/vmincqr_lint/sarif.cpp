@@ -33,11 +33,6 @@ std::string json_escape(const std::string& s) {
 }
 
 std::string to_sarif(const std::vector<Diagnostic>& diagnostics) {
-  return to_sarif(diagnostics, {});
-}
-
-std::string to_sarif(const std::vector<Diagnostic>& diagnostics,
-                     const std::vector<TierRecord>& tiers) {
   std::string s;
   s += "{\n";
   s += "  \"$schema\": "
@@ -61,21 +56,6 @@ std::string to_sarif(const std::vector<Diagnostic>& diagnostics,
   for (const auto& rule : graph_rule_table()) emit_rule(rule);
   for (const auto& rule : callgraph_rule_table()) emit_rule(rule);
   s += "\n          ]\n        }\n      },\n";
-  if (!tiers.empty()) {
-    // Run-level audit trail: every function with an explicit numeric tier.
-    s += "      \"properties\": {\n";
-    s += "        \"numericTiers\": [\n";
-    for (std::size_t i = 0; i < tiers.size(); ++i) {
-      const TierRecord& r = tiers[i];
-      s += "          {\"function\": \"" + json_escape(r.function) +
-           "\", \"file\": \"" + json_escape(r.file) +
-           "\", \"line\": " + std::to_string(r.line) + ", \"tier\": \"" +
-           json_escape(r.tier) + "\"}";
-      s += i + 1 < tiers.size() ? ",\n" : "\n";
-    }
-    s += "        ]\n";
-    s += "      },\n";
-  }
   s += "      \"results\": [\n";
   for (std::size_t i = 0; i < diagnostics.size(); ++i) {
     const Diagnostic& d = diagnostics[i];

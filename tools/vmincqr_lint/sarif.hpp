@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "diagnostic.hpp"
-#include "numeric.hpp"
 
 namespace vmincqr::lint {
 
@@ -19,12 +18,5 @@ std::string json_escape(const std::string& s);
 /// result's ruleId resolves within the log. Paths are emitted as-is in
 /// artifactLocation.uri; pass repo-relative paths for useful CI annotation.
 std::string to_sarif(const std::vector<Diagnostic>& diagnostics);
-
-/// Same, with the call graph's numeric-tier records rendered into the run's
-/// `properties.numericTiers` — the SARIF log doubles as the audit trail of
-/// every function that declared a bit-exactness tier. An empty `tiers`
-/// produces the exact same bytes as the overload above.
-std::string to_sarif(const std::vector<Diagnostic>& diagnostics,
-                     const std::vector<TierRecord>& tiers);
 
 }  // namespace vmincqr::lint

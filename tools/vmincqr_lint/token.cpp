@@ -33,27 +33,6 @@ void record_allows(Unit& unit, const std::string& comment, std::size_t line) {
   }
 }
 
-void record_numeric_tier(Unit& unit, const std::string& comment,
-                         std::size_t line) {
-  const std::string tag = "vmincqr:";
-  const auto at = comment.find(tag);
-  if (at == std::string::npos) return;
-  const std::string marker = "numeric-tier(";
-  const auto open = comment.find(marker, at);
-  if (open == std::string::npos) return;
-  const auto close = comment.find(')', open);
-  if (close == std::string::npos) return;
-  std::string tier = comment.substr(open + marker.size(),
-                                    close - open - marker.size());
-  const auto b = tier.find_first_not_of(" \t");
-  const auto e = tier.find_last_not_of(" \t");
-  if (b == std::string::npos) return;
-  tier = tier.substr(b, e - b + 1);
-  if (tier == "bit_exact" || tier == "tolerance") {
-    unit.numeric_tiers[line] = tier;
-  }
-}
-
 /// Normalizes a directive body: collapses runs of whitespace to one space.
 std::string squeeze(const std::string& s) {
   std::string out;
@@ -111,7 +90,6 @@ Unit tokenize(const std::string& src) {
           std::string comment;
           while (i < n && src[i] != '\n') comment.push_back(src[i++]);
           record_allows(unit, comment, line);
-          record_numeric_tier(unit, comment, line);
           break;
         }
         text.push_back(src[i++]);
@@ -125,7 +103,6 @@ Unit tokenize(const std::string& src) {
       std::string comment;
       while (i < n && src[i] != '\n') comment.push_back(src[i++]);
       record_allows(unit, comment, line);
-      record_numeric_tier(unit, comment, line);
       continue;
     }
     // Block comment.
@@ -140,7 +117,6 @@ Unit tokenize(const std::string& src) {
       }
       i = std::min(n, i + 2);
       record_allows(unit, comment, start_line);
-      record_numeric_tier(unit, comment, start_line);
       continue;
     }
     // Raw string literal.
@@ -251,14 +227,6 @@ bool is_allowed(const Unit& unit, const std::string& rule, std::size_t line) {
     if (it != unit.allows.end() && it->second.count(rule) > 0) return true;
   }
   return false;
-}
-
-std::string numeric_tier_at(const Unit& unit, std::size_t line) {
-  for (std::size_t probe : {line, line > 0 ? line - 1 : 0}) {
-    const auto it = unit.numeric_tiers.find(probe);
-    if (it != unit.numeric_tiers.end()) return it->second;
-  }
-  return "";
 }
 
 }  // namespace vmincqr::lint

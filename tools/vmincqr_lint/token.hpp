@@ -34,12 +34,6 @@ struct Unit {
   std::vector<std::pair<std::size_t, std::string>> directives;
   /// line -> rule ids suppressed on that line via `vmincqr-lint: allow(...)`.
   std::map<std::size_t, std::set<std::string>> allows;
-  /// line -> tier declared via `vmincqr: numeric-tier(bit_exact|tolerance)`.
-  /// Consumed by the call-graph pass's numeric-safety rules: a tier comment
-  /// on a function's definition line (or the line above) sets that
-  /// function's tier; unknown tier names are ignored (the annotation never
-  /// fails).
-  std::map<std::size_t, std::string> numeric_tiers;
 };
 
 /// Lexes one TU. Never fails: unterminated constructs consume to EOF.
@@ -47,9 +41,5 @@ Unit tokenize(const std::string& src);
 
 /// True when `allows` suppresses `rule` on `line` (same line or line above).
 bool is_allowed(const Unit& unit, const std::string& rule, std::size_t line);
-
-/// The numeric tier annotated on `line` or the line directly above, or ""
-/// when unannotated (callers default to bit_exact).
-std::string numeric_tier_at(const Unit& unit, std::size_t line);
 
 }  // namespace vmincqr::lint
