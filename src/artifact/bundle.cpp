@@ -29,13 +29,6 @@ std::vector<std::uint8_t> encode_bundle(const VminBundle& bundle) {
   writer.put_index_vec(bundle.selected_features);
   writer.end_chunk();
 
-  if (bundle.has_input_scaler) {
-    writer.begin_chunk(ChunkKind::kInputScaler);
-    writer.put_vec(bundle.input_scaler.means);
-    writer.put_vec(bundle.input_scaler.scales);
-    writer.end_chunk();
-  }
-
   writer.begin_chunk(ChunkKind::kPredictor);
   encode_interval_regressor(writer, *bundle.predictor);
   writer.end_chunk();
@@ -65,11 +58,6 @@ VminBundle decode_bundle(const std::vector<std::uint8_t>& bytes) {
         bundle.dataset_columns = body.get_index_vec();
         bundle.selected_features = body.get_index_vec();
         saw_columns = true;
-        break;
-      case ChunkKind::kInputScaler:
-        bundle.input_scaler.means = body.get_vec();
-        bundle.input_scaler.scales = body.get_vec();
-        bundle.has_input_scaler = true;
         break;
       case ChunkKind::kPredictor:
         if (bundle.predictor) {
@@ -176,8 +164,6 @@ std::string debug_json(const VminBundle& bundle) {
   out << "  \"selected_features\": ";
   render_index_list(out, bundle.selected_features);
   out << ",\n";
-  out << "  \"has_input_scaler\": "
-      << (bundle.has_input_scaler ? "true" : "false") << ",\n";
   out << "  \"predictor\": {\"name\": \"" << escaped(bundle.predictor->name())
       << "\", \"alpha\": " << bundle.predictor->alpha().value() << "}\n";
   out << "}";

@@ -7,9 +7,8 @@
 //
 //   META  scenario (read point, temperature, feature set, horizon) + label
 //   COLS  dataset column ids + the fit-time selected feature subset
-//   SCAL  optional serve-side input scaler (absent when models scale
-//         internally, which all current models do)
-//   PRED  exactly one nested predictor chunk (see model_codec.hpp)
+//   PRED  exactly one CQRC chunk: CQR over a quantile pair, the only
+//         predictor a bundle holds (see model_codec.hpp)
 //
 // The scenario is stored as a plain POD (ScenarioSpec) rather than
 // core::Scenario so artifacts stay decodable below the orchestration layer
@@ -22,7 +21,6 @@
 #include <vector>
 
 #include "artifact/codec.hpp"
-#include "data/scaler.hpp"
 #include "models/interval.hpp"
 
 namespace vmincqr::artifact {
@@ -47,20 +45,19 @@ struct VminBundle {
   std::vector<std::size_t> dataset_columns;
   /// Fit-time feature selection: indices into `dataset_columns`.
   std::vector<std::size_t> selected_features;
-  /// Optional serve-side pre-transform over the selected columns. All current
-  /// models standardize internally, so this is typically absent.
-  bool has_input_scaler = false;
-  data::ScalerParams input_scaler;
-  /// The fitted, calibrated predictor (never null in a valid bundle).
+  /// The fitted, calibrated CQR over a quantile pair (never null in a valid
+  /// bundle).
   std::unique_ptr<models::IntervalRegressor> predictor;
 };
 
 /// Serializes a bundle to VQAF bytes. Throws std::invalid_argument on a null
-/// predictor; std::logic_error if the predictor is unfitted/uncalibrated.
+/// predictor; ArtifactError if it is not CQR over a quantile pair;
+/// std::logic_error if it is unfitted/uncalibrated.
 [[nodiscard]] std::vector<std::uint8_t> encode_bundle(const VminBundle& bundle);
 
 /// Parses VQAF bytes back into a bundle (predictions bit-exact with the
-/// saved predictor). Throws ArtifactError on malformed or truncated input.
+/// saved predictor). Throws ArtifactError on malformed or truncated input,
+/// and on any PRED payload other than one CQRC nesting one QPAR.
 [[nodiscard]] VminBundle decode_bundle(const std::vector<std::uint8_t>& bytes);
 
 /// Writes/reads a bundle file (conventionally *.vqa). Throw ArtifactError on

@@ -65,19 +65,13 @@ inline constexpr std::uint32_t kFormatVersion = 3;
 enum class ChunkKind : std::uint32_t {
   kMeta = fourcc('M', 'E', 'T', 'A'),          ///< scenario + label
   kColumns = fourcc('C', 'O', 'L', 'S'),       ///< dataset + selected columns
-  kInputScaler = fourcc('S', 'C', 'A', 'L'),   ///< optional serve-side scaler
   kPredictor = fourcc('P', 'R', 'E', 'D'),     ///< wraps one predictor chunk
   kLinear = fourcc('L', 'I', 'N', 'R'),
-  kElasticNet = fourcc('E', 'N', 'E', 'T'),
   kGbt = fourcc('G', 'B', 'T', 'R'),
   kOrderedBoost = fourcc('O', 'B', 'S', 'T'),
-  kGp = fourcc('G', 'P', 'R', 'G'),
   kMlp = fourcc('M', 'L', 'P', 'R'),
   kQuantilePair = fourcc('Q', 'P', 'A', 'R'),
-  kGpInterval = fourcc('G', 'P', 'I', 'V'),
   kCqr = fourcc('C', 'Q', 'R', 'C'),
-  kSplitCp = fourcc('S', 'C', 'P', 'C'),
-  kNormalizedCp = fourcc('N', 'C', 'P', 'C'),
   kChecksum = fourcc('C', 'S', 'U', 'M'),  ///< trailing CRC-32 seal
 };
 

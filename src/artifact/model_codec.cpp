@@ -4,11 +4,7 @@
 #include <utility>
 
 #include "conformal/cqr.hpp"
-#include "conformal/normalized.hpp"
-#include "conformal/split_cp.hpp"
-#include "models/elastic_net.hpp"
 #include "models/gbt.hpp"
-#include "models/gp.hpp"
 #include "models/linear.hpp"
 #include "models/mlp.hpp"
 #include "models/ordered_boost.hpp"
@@ -59,42 +55,9 @@ MiscoverageAlpha get_alpha(Reader& reader) {
   }
 }
 
-void put_gp_body(Writer& writer, const models::GpParams& params) {
-  put_scaler(writer, params.scaler);
-  put_label_scaler(writer, params.label);
-  writer.put_matrix(params.x_train);
-  writer.put_matrix(params.chol);
-  writer.put_vec(params.weights);
-  writer.put_f64(params.length_scale);
-  writer.put_f64(params.noise_variance);
-  writer.put_f64(params.signal_variance);
-  writer.put_f64(params.log_marginal_likelihood);
-}
-
-models::GpParams get_gp_body(Reader& reader) {
-  models::GpParams params;
-  params.scaler = get_scaler(reader);
-  params.label = get_label_scaler(reader);
-  params.x_train = reader.get_matrix();
-  params.chol = reader.get_matrix();
-  params.weights = reader.get_vec();
-  params.length_scale = reader.get_f64();
-  params.noise_variance = reader.get_f64();
-  params.signal_variance = reader.get_f64();
-  params.log_marginal_likelihood = reader.get_f64();
-  return params;
-}
-
 // --- point-model payloads --------------------------------------------------
 
 void put_linear_body(Writer& writer, const models::LinearParams& params) {
-  put_scaler(writer, params.scaler);
-  put_label_scaler(writer, params.label);
-  writer.put_vec(params.coef);
-}
-
-void put_elastic_net_body(Writer& writer,
-                          const models::ElasticNetParams& params) {
   put_scaler(writer, params.scaler);
   put_label_scaler(writer, params.label);
   writer.put_vec(params.coef);
@@ -270,11 +233,6 @@ void encode_regressor(Writer& writer, const models::Regressor& model) {
     writer.begin_chunk(ChunkKind::kLinear);
     put_linear_body(writer, linear->export_params());
     writer.end_chunk();
-  } else if (const auto* enet =
-                 dynamic_cast<const models::ElasticNetRegressor*>(&model)) {
-    writer.begin_chunk(ChunkKind::kElasticNet);
-    put_elastic_net_body(writer, enet->export_params());
-    writer.end_chunk();
   } else if (const auto* gbt =
                  dynamic_cast<const models::GradientBoostedTrees*>(&model)) {
     writer.begin_chunk(ChunkKind::kGbt);
@@ -284,11 +242,6 @@ void encode_regressor(Writer& writer, const models::Regressor& model) {
                  dynamic_cast<const models::OrderedBoostedTrees*>(&model)) {
     writer.begin_chunk(ChunkKind::kOrderedBoost);
     put_ordered_boost_body(writer, ordered->export_params());
-    writer.end_chunk();
-  } else if (const auto* gp =
-                 dynamic_cast<const models::GaussianProcessRegressor*>(&model)) {
-    writer.begin_chunk(ChunkKind::kGp);
-    put_gp_body(writer, gp->export_params());
     writer.end_chunk();
   } else if (const auto* mlp = dynamic_cast<const models::MlpRegressor*>(&model)) {
     writer.begin_chunk(ChunkKind::kMlp);
@@ -313,16 +266,6 @@ std::unique_ptr<models::Regressor> decode_regressor(Reader& reader) {
                        "linear payload rejected");
       return model;
     }
-    case ChunkKind::kElasticNet: {
-      models::ElasticNetParams params;
-      params.scaler = get_scaler(body);
-      params.label = get_label_scaler(body);
-      params.coef = body.get_vec();
-      auto model = std::make_unique<models::ElasticNetRegressor>();
-      import_or_reject([&] { model->import_params(std::move(params)); },
-                       "elastic-net payload rejected");
-      return model;
-    }
     case ChunkKind::kGbt: {
       models::GbtParams params = get_gbt_body(body);
       auto model = std::make_unique<models::GradientBoostedTrees>();
@@ -335,13 +278,6 @@ std::unique_ptr<models::Regressor> decode_regressor(Reader& reader) {
       auto model = std::make_unique<models::OrderedBoostedTrees>();
       import_or_reject([&] { model->import_params(std::move(params)); },
                        "ordered-boost payload rejected");
-      return model;
-    }
-    case ChunkKind::kGp: {
-      models::GpParams params = get_gp_body(body);
-      auto model = std::make_unique<models::GaussianProcessRegressor>();
-      import_or_reject([&] { model->import_params(std::move(params)); },
-                       "gp payload rejected");
       return model;
     }
     case ChunkKind::kMlp: {
@@ -365,130 +301,69 @@ std::unique_ptr<models::Regressor> decode_regressor(Reader& reader) {
 
 void encode_interval_regressor(Writer& writer,
                                const models::IntervalRegressor& model) {
-  if (const auto* pair =
-          dynamic_cast<const models::QuantilePairRegressor*>(&model)) {
-    writer.begin_chunk(ChunkKind::kQuantilePair);
-    writer.put_f64(pair->alpha().value());
-    writer.put_str(pair->name());
-    encode_regressor(writer, pair->lower_model());
-    encode_regressor(writer, pair->upper_model());
-    writer.end_chunk();
-  } else if (const auto* gp =
-                 dynamic_cast<const models::GpIntervalRegressor*>(&model)) {
-    writer.begin_chunk(ChunkKind::kGpInterval);
-    writer.put_f64(gp->alpha().value());
-    put_gp_body(writer, gp->export_params());
-    writer.end_chunk();
-  } else if (const auto* cqr =
-                 dynamic_cast<const conformal::ConformalizedQuantileRegressor*>(
-                     &model)) {
-    const conformal::CqrCalibration calibration = cqr->export_calibration();
-    writer.begin_chunk(ChunkKind::kCqr);
-    writer.put_f64(cqr->alpha().value());
-    writer.put_u8(static_cast<std::uint8_t>(cqr->mode()));
-    writer.put_f64(calibration.q_hat_lo);
-    writer.put_f64(calibration.q_hat_hi);
-    encode_interval_regressor(writer, cqr->base());
-    writer.end_chunk();
-  } else if (const auto* split =
-                 dynamic_cast<const conformal::SplitConformalRegressor*>(
-                     &model)) {
-    const conformal::SplitCalibration calibration = split->export_calibration();
-    writer.begin_chunk(ChunkKind::kSplitCp);
-    writer.put_f64(split->alpha().value());
-    writer.put_f64(calibration.q_hat);
-    encode_regressor(writer, split->model());
-    writer.end_chunk();
-  } else if (const auto* normalized =
-                 dynamic_cast<const conformal::NormalizedConformalRegressor*>(
-                     &model)) {
-    const conformal::NormalizedCalibration calibration =
-        normalized->export_calibration();
-    writer.begin_chunk(ChunkKind::kNormalizedCp);
-    writer.put_f64(normalized->alpha().value());
-    writer.put_f64(calibration.q_hat);
-    writer.put_f64(calibration.sigma_floor);
-    encode_regressor(writer, normalized->mean_model());
-    encode_regressor(writer, normalized->sigma_model());
-    writer.end_chunk();
-  } else {
-    throw ArtifactError("unsupported interval-regressor type: " + model.name());
+  const auto* cqr =
+      dynamic_cast<const conformal::ConformalizedQuantileRegressor*>(&model);
+  const auto* pair =
+      cqr == nullptr
+          ? nullptr
+          : dynamic_cast<const models::QuantilePairRegressor*>(&cqr->base());
+  if (pair == nullptr) {
+    throw ArtifactError("unsupported interval-regressor type: " +
+                        model.name() +
+                        " (a bundle holds CQR over a quantile pair)");
   }
+  const conformal::CqrCalibration calibration = cqr->export_calibration();
+  writer.begin_chunk(ChunkKind::kCqr);
+  writer.put_f64(cqr->alpha().value());
+  writer.put_u8(static_cast<std::uint8_t>(cqr->mode()));
+  writer.put_f64(calibration.q_hat_lo);
+  writer.put_f64(calibration.q_hat_hi);
+  writer.begin_chunk(ChunkKind::kQuantilePair);
+  writer.put_f64(pair->alpha().value());
+  writer.put_str(pair->name());
+  encode_regressor(writer, pair->lower_model());
+  encode_regressor(writer, pair->upper_model());
+  writer.end_chunk();
+  writer.end_chunk();
 }
 
 std::unique_ptr<models::IntervalRegressor> decode_interval_regressor(
     Reader& reader) {
-  Reader::Chunk chunk = reader.next_chunk();
-  Reader& body = chunk.payload;
-  switch (chunk.kind) {
-    case ChunkKind::kQuantilePair: {
-      const MiscoverageAlpha level = get_alpha(body);
-      std::string label = body.get_str();
-      auto lower = decode_regressor(body);
-      auto upper = decode_regressor(body);
-      return std::make_unique<models::QuantilePairRegressor>(
-          level, std::move(lower), std::move(upper), std::move(label));
-    }
-    case ChunkKind::kGpInterval: {
-      const MiscoverageAlpha level = get_alpha(body);
-      models::GpParams params = get_gp_body(body);
-      auto model = std::make_unique<models::GpIntervalRegressor>(level);
-      import_or_reject([&] { model->import_params(std::move(params)); },
-                       "gp-interval payload rejected");
-      return model;
-    }
-    case ChunkKind::kCqr: {
-      const MiscoverageAlpha level = get_alpha(body);
-      const std::uint8_t mode = body.get_u8();
-      if (mode > static_cast<std::uint8_t>(conformal::CqrMode::kAsymmetric)) {
-        throw ArtifactError("bad CQR mode byte " + std::to_string(mode));
-      }
-      conformal::CqrCalibration calibration;
-      calibration.q_hat_lo = body.get_f64();
-      calibration.q_hat_hi = body.get_f64();
-      auto base = decode_interval_regressor(body);
-      conformal::CqrConfig config;
-      config.mode = static_cast<conformal::CqrMode>(mode);
-      std::unique_ptr<conformal::ConformalizedQuantileRegressor> model;
-      // The constructor cross-checks the wrapper's level against the base
-      // model's, so it belongs inside the corrupt-bytes rejection wrapper.
-      import_or_reject(
-          [&] {
-            model = std::make_unique<conformal::ConformalizedQuantileRegressor>(
-                level, std::move(base), config);
-            model->import_calibration(calibration);
-          },
-          "cqr payload rejected");
-      return model;
-    }
-    case ChunkKind::kSplitCp: {
-      const MiscoverageAlpha level = get_alpha(body);
-      conformal::SplitCalibration calibration;
-      calibration.q_hat = body.get_f64();
-      auto point = decode_regressor(body);
-      auto model = std::make_unique<conformal::SplitConformalRegressor>(
-          level, std::move(point));
-      import_or_reject([&] { model->import_calibration(calibration); },
-                       "split-cp calibration rejected");
-      return model;
-    }
-    case ChunkKind::kNormalizedCp: {
-      const MiscoverageAlpha level = get_alpha(body);
-      conformal::NormalizedCalibration calibration;
-      calibration.q_hat = body.get_f64();
-      calibration.sigma_floor = body.get_f64();
-      auto mean = decode_regressor(body);
-      auto sigma = decode_regressor(body);
-      auto model = std::make_unique<conformal::NormalizedConformalRegressor>(
-          level, std::move(mean), std::move(sigma));
-      import_or_reject([&] { model->import_calibration(calibration); },
-                       "normalized-cp calibration rejected");
-      return model;
-    }
-    default:
-      throw ArtifactError("unknown interval-regressor chunk '" +
-                          chunk_kind_name(chunk.kind) + "'");
+  Reader body = reader.expect_chunk(ChunkKind::kCqr);
+  const MiscoverageAlpha level = get_alpha(body);
+  const std::uint8_t mode = body.get_u8();
+  if (mode > static_cast<std::uint8_t>(conformal::CqrMode::kAsymmetric)) {
+    throw ArtifactError("bad CQR mode byte " + std::to_string(mode));
   }
+  conformal::CqrCalibration calibration;
+  calibration.q_hat_lo = body.get_f64();
+  calibration.q_hat_hi = body.get_f64();
+
+  Reader pair_body = body.expect_chunk(ChunkKind::kQuantilePair);
+  if (!body.at_end() || !reader.at_end()) {
+    throw ArtifactError(
+        "a predictor is exactly one CQRC chunk nesting exactly one QPAR");
+  }
+  const MiscoverageAlpha pair_level = get_alpha(pair_body);
+  std::string label = pair_body.get_str();
+  auto lower = decode_regressor(pair_body);
+  auto upper = decode_regressor(pair_body);
+  auto pair = std::make_unique<models::QuantilePairRegressor>(
+      pair_level, std::move(lower), std::move(upper), std::move(label));
+
+  conformal::CqrConfig config;
+  config.mode = static_cast<conformal::CqrMode>(mode);
+  std::unique_ptr<conformal::ConformalizedQuantileRegressor> model;
+  // The constructor cross-checks the wrapper's level against the pair's, so
+  // it belongs inside the corrupt-bytes rejection wrapper.
+  import_or_reject(
+      [&] {
+        model = std::make_unique<conformal::ConformalizedQuantileRegressor>(
+            level, std::move(pair), config);
+        model->import_calibration(calibration);
+      },
+      "cqr payload rejected");
+  return model;
 }
 
 }  // namespace vmincqr::artifact

@@ -29,31 +29,18 @@ void MondrianCqr::fit(const Matrix& x, const Vector& y) {
   VMINCQR_REQUIRE(x.rows() >= 3, "MondrianCqr::fit: need at least 3 samples");
   VMINCQR_CHECK_SHAPE(x.rows() == y.size(), "MondrianCqr::fit: shape mismatch");
   VMINCQR_CHECK_FINITE(y, "fit: label vector y");
-  std::vector<std::size_t> indices(x.rows());
-  for (std::size_t i = 0; i < indices.size(); ++i) indices[i] = i;
-  rng::Rng rng(config_.split.seed);
-  const auto split =
-      data::train_calibration_split(indices, config_.split.train_fraction, rng);
+  const data::RowSplit split = data::split_rows(
+      x, y, config_.split.train_fraction, config_.split.seed);
+  base_->fit(split.x_train, split.y_train);
 
-  Vector y_train(split.train.size());
-  for (std::size_t i = 0; i < split.train.size(); ++i) {
-    y_train[i] = y[split.train[i]];
-  }
-  base_->fit(x.take_rows(split.train), y_train);
-
-  const Matrix x_calib = x.take_rows(split.calibration);
-  Vector y_calib(split.calibration.size());
-  for (std::size_t i = 0; i < split.calibration.size(); ++i) {
-    y_calib[i] = y[split.calibration[i]];
-  }
-  const IntervalPrediction band = base_->predict_interval(x_calib);
-  const auto scores = cqr_scores(y_calib, band.lower, band.upper);
+  const IntervalPrediction band = base_->predict_interval(split.x_calib);
+  const auto scores = cqr_scores(split.y_calib, band.lower, band.upper);
 
   pooled_q_hat_ = stats::conformal_quantile(scores, alpha_);
 
   std::map<int, std::vector<double>> group_scores;
   for (std::size_t i = 0; i < scores.size(); ++i) {
-    const int g = group_fn_(x_calib.row_ptr(i), x_calib.cols());
+    const int g = group_fn_(split.x_calib.row_ptr(i), split.x_calib.cols());
     group_scores[g].push_back(scores[i]);
   }
   group_q_hat_.clear();

@@ -30,38 +30,24 @@ void NormalizedConformalRegressor::fit(const Matrix& x, const Vector& y) {
   VMINCQR_CHECK_SHAPE(x.rows() == y.size(),
                       "NormalizedConformalRegressor::fit: shape mismatch");
   VMINCQR_CHECK_FINITE(y, "fit: label vector y");
-  std::vector<std::size_t> indices(x.rows());
-  for (std::size_t i = 0; i < indices.size(); ++i) indices[i] = i;
-  rng::Rng rng(config_.split.seed);
-  const auto split = data::train_calibration_split(
-      indices, config_.split.train_fraction, rng);
-
-  const Matrix x_train = x.take_rows(split.train);
-  Vector y_train(split.train.size());
-  for (std::size_t i = 0; i < split.train.size(); ++i) {
-    y_train[i] = y[split.train[i]];
-  }
-  mean_model_->fit(x_train, y_train);
+  const data::RowSplit split = data::split_rows(
+      x, y, config_.split.train_fraction, config_.split.seed);
+  mean_model_->fit(split.x_train, split.y_train);
 
   // Difficulty model: absolute residuals of the mean model on its own
   // training data (standard locally-weighted CP recipe).
-  const Vector mu_train = mean_model_->predict(x_train);
-  Vector abs_res(y_train.size());
-  for (std::size_t i = 0; i < y_train.size(); ++i) {
-    abs_res[i] = std::abs(y_train[i] - mu_train[i]);
+  const Vector mu_train = mean_model_->predict(split.x_train);
+  Vector abs_res(split.y_train.size());
+  for (std::size_t i = 0; i < abs_res.size(); ++i) {
+    abs_res[i] = std::abs(split.y_train[i] - mu_train[i]);
   }
-  sigma_model_->fit(x_train, abs_res);
+  sigma_model_->fit(split.x_train, abs_res);
 
-  const Matrix x_calib = x.take_rows(split.calibration);
-  Vector y_calib(split.calibration.size());
-  for (std::size_t i = 0; i < split.calibration.size(); ++i) {
-    y_calib[i] = y[split.calibration[i]];
-  }
-  const Vector mu = mean_model_->predict(x_calib);
-  const Vector sigma = predict_sigma(x_calib);
-  std::vector<double> scores(y_calib.size());
-  for (std::size_t i = 0; i < y_calib.size(); ++i) {
-    scores[i] = normalized_residual_score(y_calib[i], mu[i], sigma[i]);
+  const Vector mu = mean_model_->predict(split.x_calib);
+  const Vector sigma = predict_sigma(split.x_calib);
+  std::vector<double> scores(split.y_calib.size());
+  for (std::size_t i = 0; i < scores.size(); ++i) {
+    scores[i] = normalized_residual_score(split.y_calib[i], mu[i], sigma[i]);
   }
   q_hat_ = stats::conformal_quantile(scores, alpha_);
   calibrated_ = true;
@@ -104,24 +90,6 @@ double NormalizedConformalRegressor::q_hat() const {
     throw std::logic_error("NormalizedConformalRegressor: not calibrated");
   }
   return q_hat_;
-}
-
-NormalizedCalibration NormalizedConformalRegressor::export_calibration() const {
-  if (!calibrated_) {
-    throw std::logic_error("NormalizedConformalRegressor: not calibrated");
-  }
-  return {q_hat_, config_.sigma_floor};
-}
-
-void NormalizedConformalRegressor::import_calibration(
-    NormalizedCalibration calibration) {
-  if (std::isnan(calibration.q_hat) || !(calibration.sigma_floor >= 0.0)) {
-    throw std::invalid_argument(
-        "NormalizedConformalRegressor::import_calibration: bad calibration");
-  }
-  q_hat_ = calibration.q_hat;
-  config_.sigma_floor = calibration.sigma_floor;
-  calibrated_ = true;
 }
 
 }  // namespace vmincqr::conformal

@@ -26,14 +26,6 @@ struct NormalizedConfig {
   double sigma_floor = 1e-6;  ///< lower bound on sigma_hat (volts)
 };
 
-/// The calibrated state of a NormalizedConformalRegressor. The sigma floor
-/// rides along because predict-time difficulty estimates are clamped to it —
-/// it is part of the serve-time contract, not just a fit-time knob.
-struct NormalizedCalibration {
-  double q_hat = 0.0;
-  double sigma_floor = 1e-6;
-};
-
 class NormalizedConformalRegressor final : public IntervalRegressor {
  public:
   /// `mean_model` predicts y; `sigma_model` is trained on |residuals| of the
@@ -53,19 +45,6 @@ class NormalizedConformalRegressor final : public IntervalRegressor {
   [[nodiscard]] MiscoverageAlpha alpha() const override { return alpha_; }
 
   [[nodiscard]] double q_hat() const;
-
-  /// The wrapped mean / difficulty models (for parameter export).
-  [[nodiscard]] const Regressor& mean_model() const { return *mean_model_; }
-  [[nodiscard]] const Regressor& sigma_model() const { return *sigma_model_; }
-
-  /// Copies out the calibrated state. Throws std::logic_error if not
-  /// calibrated.
-  [[nodiscard]] NormalizedCalibration export_calibration() const;
-
-  /// Adopts previously exported state and marks the regressor calibrated.
-  /// Both wrapped models must already be fitted for predictions to succeed.
-  /// Throws std::invalid_argument on NaN or a negative sigma floor.
-  void import_calibration(NormalizedCalibration calibration);
 
  private:
   [[nodiscard]] Vector predict_sigma(const Matrix& x) const;

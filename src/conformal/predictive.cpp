@@ -29,20 +29,9 @@ void ConformalPredictiveDistribution::fit(const Matrix& x, const Vector& y) {
   VMINCQR_CHECK_SHAPE(x.rows() == y.size(),
                       "ConformalPredictiveDistribution::fit: shape mismatch");
   VMINCQR_CHECK_FINITE(y, "fit: label vector y");
-  std::vector<std::size_t> indices(x.rows());
-  for (std::size_t i = 0; i < indices.size(); ++i) indices[i] = i;
-  rng::Rng rng(config_.split.seed);
-  const auto split = data::train_calibration_split(
-      indices, config_.split.train_fraction, rng);
-  Vector y_train(split.train.size()), y_calib(split.calibration.size());
-  for (std::size_t i = 0; i < split.train.size(); ++i) {
-    y_train[i] = y[split.train[i]];
-  }
-  for (std::size_t i = 0; i < split.calibration.size(); ++i) {
-    y_calib[i] = y[split.calibration[i]];
-  }
-  fit_with_split(x.take_rows(split.train), y_train,
-                 x.take_rows(split.calibration), y_calib);
+  const data::RowSplit split = data::split_rows(
+      x, y, config_.split.train_fraction, config_.split.seed);
+  fit_with_split(split.x_train, split.y_train, split.x_calib, split.y_calib);
 }
 
 void ConformalPredictiveDistribution::fit_with_split(const Matrix& x_train,

@@ -30,21 +30,9 @@ void SplitConformalRegressor::fit(const Matrix& x, const Vector& y) {
   VMINCQR_CHECK_SHAPE(x.rows() == y.size(),
                       "SplitConformalRegressor::fit: shape mismatch");
   VMINCQR_CHECK_FINITE(y, "fit: label vector y");
-  std::vector<std::size_t> indices(x.rows());
-  for (std::size_t i = 0; i < indices.size(); ++i) indices[i] = i;
-  rng::Rng rng(config_.split.seed);
-  const auto split = data::train_calibration_split(
-      indices, config_.split.train_fraction, rng);
-
-  Vector y_train(split.train.size()), y_calib(split.calibration.size());
-  for (std::size_t i = 0; i < split.train.size(); ++i) {
-    y_train[i] = y[split.train[i]];
-  }
-  for (std::size_t i = 0; i < split.calibration.size(); ++i) {
-    y_calib[i] = y[split.calibration[i]];
-  }
-  fit_with_split(x.take_rows(split.train), y_train,
-                 x.take_rows(split.calibration), y_calib);
+  const data::RowSplit split = data::split_rows(
+      x, y, config_.split.train_fraction, config_.split.seed);
+  fit_with_split(split.x_train, split.y_train, split.x_calib, split.y_calib);
 }
 
 void SplitConformalRegressor::fit_with_split(const Matrix& x_train,
@@ -100,22 +88,6 @@ double SplitConformalRegressor::q_hat() const {
     throw std::logic_error("SplitConformalRegressor: not calibrated");
   }
   return q_hat_;
-}
-
-SplitCalibration SplitConformalRegressor::export_calibration() const {
-  if (!calibrated_) {
-    throw std::logic_error("SplitConformalRegressor: not calibrated");
-  }
-  return {q_hat_};
-}
-
-void SplitConformalRegressor::import_calibration(SplitCalibration calibration) {
-  if (std::isnan(calibration.q_hat)) {
-    throw std::invalid_argument(
-        "SplitConformalRegressor::import_calibration: NaN q_hat");
-  }
-  q_hat_ = calibration.q_hat;
-  calibrated_ = true;
 }
 
 }  // namespace vmincqr::conformal

@@ -30,12 +30,6 @@ struct SplitConfig {
   core::CalibrationSplit split;
 };
 
-/// The calibrated state of a SplitConformalRegressor: the constant interval
-/// half-width of Eq. (8).
-struct SplitCalibration {
-  double q_hat = 0.0;
-};
-
 class SplitConformalRegressor final : public IntervalRegressor {
  public:
   /// Takes ownership of an unfitted point-regressor prototype.
@@ -65,18 +59,6 @@ class SplitConformalRegressor final : public IntervalRegressor {
   /// Calibrated half-width q_hat (volts); +inf when the calibration set was
   /// too small for the requested coverage.
   [[nodiscard]] double q_hat() const;
-
-  /// The wrapped point model (for parameter export).
-  [[nodiscard]] const Regressor& model() const { return *model_; }
-
-  /// Copies out the calibrated half-width. Throws std::logic_error if not
-  /// calibrated.
-  [[nodiscard]] SplitCalibration export_calibration() const;
-
-  /// Adopts a previously exported half-width and marks the regressor
-  /// calibrated. The point model must already be fitted for predictions to
-  /// succeed. Throws std::invalid_argument on NaN.
-  void import_calibration(SplitCalibration calibration);
 
  private:
   MiscoverageAlpha alpha_;

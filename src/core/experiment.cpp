@@ -4,7 +4,6 @@
 #include <map>
 #include <stdexcept>
 
-#include "conformal/cqr.hpp"
 #include "data/feature_select.hpp"
 #include "data/split.hpp"
 #include "stats/metrics.hpp"
@@ -139,8 +138,10 @@ RegionMethodScore evaluate_region_method(const data::Dataset& ds,
 
   for (std::size_t f = 0; f < folds.size(); ++f) {
     const auto& fold = folds[f];
-    const Matrix x_train = data.x.take_rows(fold.train);
-    const Vector y_train = take(data.y, fold.train);
+    const ScenarioData train{data.x.take_rows(fold.train),
+                             take(data.y, fold.train), {}};
+    const Matrix& x_train = train.x;
+    const Vector& y_train = train.y;
     const Matrix x_test = data.x.take_rows(fold.test);
     const Vector y_test = take(data.y, fold.test);
 
@@ -167,33 +168,14 @@ RegionMethodScore evaluate_region_method(const data::Dataset& ds,
         break;
       }
       case RegionMethodSpec::Family::kCqr: {
-        // 75/25 train/calibration split inside the training fold; the split
-        // seed depends only on the fold so every method sees the same split.
-        std::vector<std::size_t> local(fold.train.size());
-        for (std::size_t i = 0; i < local.size(); ++i) local[i] = i;
-        rng::Rng split_rng(config.pipeline.split.seed + f);
-        const auto split = data::train_calibration_split(
-            local, config.pipeline.split.train_fraction, split_rng);
-
-        const Matrix x_proper = x_train.take_rows(split.train);
-        const Vector y_proper = take(y_train, split.train);
-        const Matrix x_calib = x_train.take_rows(split.calibration);
-        const Vector y_calib = take(y_train, split.calibration);
-
-        // Feature selection on the proper-training part only (no leakage
-        // into the calibration scores).
-        const auto cols =
-            is_tree_model(spec.base)
-                ? data::top_correlated(x_proper, y_proper,
-                                       config.pipeline.tree_prefilter)
-                : data::cfs_select(x_proper, y_proper,
-                                   config.region_cfs_features);
-
-        conformal::ConformalizedQuantileRegressor cqr(
-            alpha, models::make_quantile_pair(spec.base, alpha));
-        cqr.fit_with_split(x_proper.take_cols(cols), y_proper,
-                           x_calib.take_cols(cols), y_calib);
-        band = cqr.predict_interval(x_test.take_cols(cols));
+        // The served screen's own fit on the training fold. The split seed
+        // depends only on the fold, so every method sees the same split.
+        PipelineConfig pipeline = config.pipeline;
+        pipeline.split.seed += f;
+        const FittedScreen screen = fit_screen(train, spec.base, pipeline,
+                                               config.region_cfs_features);
+        band = screen.predictor->predict_interval(
+            x_test.take_cols(screen.selected));
         break;
       }
     }

@@ -2,11 +2,11 @@
 //
 // 4-fold cross-validation over the chip population; per fold, models are
 // trained on the training chips (with feature selection computed on the
-// training fold only) and evaluated on the held-out chips. For CQR, 75% of
-// the training fold trains the quantile pair and 25% calibrates, with the
-// same split seed shared by every interval method ("to ensure a fair
-// comparison, we use the same random seed for all Vmin interval
-// predictors").
+// training fold only) and evaluated on the held-out chips. CQR fits each
+// training fold with fit_screen, the function that fits served bundles: 75%
+// of the fold trains the quantile pair and 25% calibrates, with the same
+// split seed shared by every interval method ("to ensure a fair comparison,
+// we use the same random seed for all Vmin interval predictors").
 #pragma once
 
 #include <cstdint>
@@ -85,9 +85,8 @@ std::vector<RegionMethodScore> evaluate_region_methods(
 /// thread-safe (all experiment entry points above are: they share only
 /// immutable data) and T default-constructible. Each index is its own chunk,
 /// so results are the same objects a sequential loop would produce.
-/// fit_screen is a pipeline root, not such an entry point: it sets the
-/// process-wide kernel policy and throws contract_violation inside a pool
-/// task.
+/// fit_screen may be mapped too: it shares no mutable state, and fits run
+/// this way are pinned byte-identical to sequential ones (core_test).
 template <typename T>
 std::vector<T> parallel_map(std::size_t n,
                             const std::function<T(std::size_t)>& f) {

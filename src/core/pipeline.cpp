@@ -6,19 +6,8 @@
 #include "core/contracts.hpp"
 #include "data/feature_select.hpp"
 #include "data/split.hpp"
-#include "rng/rng.hpp"
 
 namespace vmincqr::core {
-
-namespace {
-
-Vector take(const Vector& v, const std::vector<std::size_t>& idx) {
-  Vector out(idx.size());
-  for (std::size_t i = 0; i < idx.size(); ++i) out[i] = v[idx[i]];
-  return out;
-}
-
-}  // namespace
 
 ScenarioData assemble_scenario(const data::Dataset& ds,
                                const Scenario& scenario) {
@@ -75,39 +64,30 @@ std::vector<std::size_t> cfs_sweep_for_model(models::ModelKind kind,
 }
 
 FittedScreen fit_screen(const ScenarioData& data, models::ModelKind kind,
-                        const PipelineConfig& config, std::size_t n_features,
-                        conformal::CqrMode mode) {
+                        const PipelineConfig& config, std::size_t n_features) {
   VMINCQR_REQUIRE(data.x.rows() >= 8,
                   "fit_screen: need at least 8 chips to split and calibrate");
   VMINCQR_CHECK_SHAPE(data.x.rows() == data.y.size(),
                       "fit_screen: design/label row mismatch");
-  std::vector<std::size_t> indices(data.x.rows());
-  for (std::size_t i = 0; i < indices.size(); ++i) indices[i] = i;
-  rng::Rng split_rng(config.split.seed);
-  const auto split = data::train_calibration_split(
-      indices, config.split.train_fraction, split_rng);
-
-  const Matrix x_proper = data.x.take_rows(split.train);
-  const Vector y_proper = take(data.y, split.train);
-  const Matrix x_calib = data.x.take_rows(split.calibration);
-  const Vector y_calib = take(data.y, split.calibration);
+  const data::RowSplit split = data::split_rows(
+      data.x, data.y, config.split.train_fraction, config.split.seed);
 
   FittedScreen screen;
   // Feature selection sees the proper-training part only, so nothing about
   // the calibration chips leaks into the scores that set q_hat.
-  screen.selected =
-      select_features_for_model(x_proper, y_proper, kind, config, n_features);
+  screen.selected = select_features_for_model(split.x_train, split.y_train,
+                                              kind, config, n_features);
 
   conformal::CqrConfig cqr_config;
   cqr_config.split = config.split;
-  cqr_config.mode = mode;
   screen.predictor =
       std::make_unique<conformal::ConformalizedQuantileRegressor>(
           config.alpha, models::make_quantile_pair(kind, config.alpha),
           cqr_config);
-  screen.predictor->fit_with_split(x_proper.take_cols(screen.selected),
-                                   y_proper,
-                                   x_calib.take_cols(screen.selected), y_calib);
+  screen.predictor->fit_with_split(split.x_train.take_cols(screen.selected),
+                                   split.y_train,
+                                   split.x_calib.take_cols(screen.selected),
+                                   split.y_calib);
   return screen;
 }
 

@@ -76,11 +76,11 @@ struct FittedScreen {
 
 /// The full fit-time path for one scenario: split per config.split, select
 /// features on the proper-training part (no calibration leakage), fit the
-/// CQR-wrapped quantile pair, calibrate. Throws std::invalid_argument on a
-/// design too small to split.
+/// CQR-wrapped quantile pair, calibrate (the paper's symmetric Eq. 9-10).
+/// Table III's CQR rows and every served bundle come from this one function.
+/// Throws std::invalid_argument on a design too small to split.
 FittedScreen fit_screen(const ScenarioData& data, models::ModelKind kind,
-                        const PipelineConfig& config, std::size_t n_features,
-                        conformal::CqrMode mode = conformal::CqrMode::kSymmetric);
+                        const PipelineConfig& config, std::size_t n_features);
 
 /// Packages a fitted screen into a serveable artifact bundle (see
 /// artifact/bundle.hpp; save with artifact::save_artifact). Consumes the

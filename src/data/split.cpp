@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
+#include <utility>
 
 namespace vmincqr::data {
 
@@ -52,6 +53,22 @@ TrainCalibSplit train_calibration_split(std::vector<std::size_t> indices,
   std::sort(split.train.begin(), split.train.end());
   std::sort(split.calibration.begin(), split.calibration.end());
   return split;
+}
+
+RowSplit split_rows(const linalg::Matrix& x, const linalg::Vector& y,
+                    double train_fraction, std::uint64_t seed) {
+  std::vector<std::size_t> indices(x.rows());
+  for (std::size_t i = 0; i < indices.size(); ++i) indices[i] = i;
+  rng::Rng rng(seed);
+  const TrainCalibSplit split =
+      train_calibration_split(std::move(indices), train_fraction, rng);
+  const auto gather = [&y](const std::vector<std::size_t>& rows) {
+    linalg::Vector out(rows.size());
+    for (std::size_t i = 0; i < rows.size(); ++i) out[i] = y[rows[i]];
+    return out;
+  };
+  return {x.take_rows(split.train), gather(split.train),
+          x.take_rows(split.calibration), gather(split.calibration)};
 }
 
 }  // namespace vmincqr::data

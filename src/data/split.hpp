@@ -1,10 +1,12 @@
-// Index-level dataset splitting: k-fold cross-validation and the
-// train/calibration split used by split conformal prediction.
+// Dataset splitting: k-fold cross-validation and the train/calibration split
+// used by split conformal prediction.
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <vector>
 
+#include "linalg/matrix.hpp"
 #include "rng/rng.hpp"
 
 namespace vmincqr::data {
@@ -31,5 +33,20 @@ struct TrainCalibSplit {
 /// outside (0, 1) or fewer than 2 indices are supplied.
 TrainCalibSplit train_calibration_split(std::vector<std::size_t> indices,
                                         double train_fraction, rng::Rng& rng);
+
+/// A design and its labels, gathered into proper-training and calibration
+/// rows.
+struct RowSplit {
+  linalg::Matrix x_train;
+  linalg::Vector y_train;
+  linalg::Matrix x_calib;
+  linalg::Vector y_calib;
+};
+
+/// train_calibration_split over every row of (x, y), with an Rng seeded by
+/// `seed`, then the row gathers: the one split every split-conformal fit
+/// uses. Throws as train_calibration_split does.
+RowSplit split_rows(const linalg::Matrix& x, const linalg::Vector& y,
+                    double train_fraction, std::uint64_t seed);
 
 }  // namespace vmincqr::data

@@ -4,7 +4,6 @@
 #include <cmath>
 #include <limits>
 #include <stdexcept>
-#include <utility>
 
 #include "data/split.hpp"
 #include "stats/metrics.hpp"
@@ -103,26 +102,6 @@ Vector ElasticNetRegressor::predict(const Matrix& x) const {
 
 std::unique_ptr<Regressor> ElasticNetRegressor::clone_config() const {
   return std::make_unique<ElasticNetRegressor>(config_);
-}
-
-ElasticNetParams ElasticNetRegressor::export_params() const {
-  if (!fitted_) {
-    throw std::logic_error("ElasticNetRegressor::export_params: not fitted");
-  }
-  return {scaler_.export_params(), label_scaler_.export_params(), coef_};
-}
-
-void ElasticNetRegressor::import_params(ElasticNetParams params) {
-  if (params.coef.size() != params.scaler.means.size()) {
-    throw std::invalid_argument(
-        "ElasticNetRegressor::import_params: coef/feature count mismatch");
-  }
-  scaler_.import_params(std::move(params.scaler));
-  label_scaler_.import_params(params.label);
-  coef_ = std::move(params.coef);
-  n_features_ = coef_.size();
-  iterations_used_ = 0;
-  fitted_ = true;
 }
 
 std::vector<std::size_t> ElasticNetRegressor::selected_features() const {

@@ -21,14 +21,6 @@ struct ElasticNetConfig {
   double tolerance = 1e-8;  ///< max coefficient change for convergence
 };
 
-/// Fitted state of an ElasticNetRegressor: both scalers plus the
-/// standardized-space coefficients (no intercept entry; centring absorbs it).
-struct ElasticNetParams {
-  data::ScalerParams scaler;
-  data::LabelScalerParams label;
-  Vector coef;
-};
-
 class ElasticNetRegressor final : public Regressor {
  public:
   /// Throws std::invalid_argument for lambda < 0, l1_ratio outside [0, 1],
@@ -51,13 +43,6 @@ class ElasticNetRegressor final : public Regressor {
 
   /// Number of coordinate-descent sweeps the last fit used.
   [[nodiscard]] int iterations_used() const noexcept { return iterations_used_; }
-
-  /// Copies out the fitted state. Throws std::logic_error if not fitted.
-  [[nodiscard]] ElasticNetParams export_params() const;
-
-  /// Adopts previously exported state and marks the model fitted.
-  /// Throws std::invalid_argument on inconsistent shapes.
-  void import_params(ElasticNetParams params);
 
  private:
   ElasticNetConfig config_;

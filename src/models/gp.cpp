@@ -191,50 +191,4 @@ std::unique_ptr<Regressor> GaussianProcessRegressor::clone_config() const {
   return std::make_unique<GaussianProcessRegressor>(config_);
 }
 
-GpParams GaussianProcessRegressor::export_params() const {
-  if (!fitted_) {
-    throw std::logic_error("GaussianProcessRegressor::export_params: not fitted");
-  }
-  GpParams params;
-  params.scaler = scaler_.export_params();
-  params.label = label_scaler_.export_params();
-  params.x_train = x_train_;
-  params.chol = chol_;
-  params.weights = alpha_;
-  params.length_scale = length_scale_;
-  params.noise_variance = noise_variance_;
-  params.signal_variance = config_.signal_variance;
-  params.log_marginal_likelihood = best_lml_;
-  return params;
-}
-
-void GaussianProcessRegressor::import_params(GpParams params) {
-  const std::size_t n = params.x_train.rows();
-  if (n == 0 || params.x_train.cols() != params.scaler.means.size()) {
-    throw std::invalid_argument(
-        "GaussianProcessRegressor::import_params: x_train/scaler mismatch");
-  }
-  if (params.chol.rows() != n || params.chol.cols() != n ||
-      params.weights.size() != n) {
-    throw std::invalid_argument(
-        "GaussianProcessRegressor::import_params: factorization shape mismatch");
-  }
-  if (!(params.length_scale > 0.0) || !(params.signal_variance > 0.0) ||
-      params.noise_variance < 0.0) {
-    throw std::invalid_argument(
-        "GaussianProcessRegressor::import_params: bad hyperparameters");
-  }
-  scaler_.import_params(std::move(params.scaler));
-  label_scaler_.import_params(params.label);
-  x_train_ = std::move(params.x_train);
-  chol_ = std::move(params.chol);
-  alpha_ = std::move(params.weights);
-  length_scale_ = params.length_scale;
-  noise_variance_ = params.noise_variance;
-  config_.signal_variance = params.signal_variance;
-  best_lml_ = params.log_marginal_likelihood;
-  n_features_ = x_train_.cols();
-  fitted_ = true;
-}
-
 }  // namespace vmincqr::models

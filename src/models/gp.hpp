@@ -28,21 +28,6 @@ struct GpPosterior {
   Vector variance;  ///< includes the learned noise variance
 };
 
-/// Fitted state of a GaussianProcessRegressor: everything posterior() reads.
-/// Includes the kernel amplitude (signal_variance) because the posterior
-/// re-evaluates the kernel at query time.
-struct GpParams {
-  data::ScalerParams scaler;
-  data::LabelScalerParams label;
-  Matrix x_train;  ///< standardized training inputs
-  Matrix chol;     ///< Cholesky factor of K + sn2 I
-  Vector weights;  ///< (K + sn2 I)^{-1} y (standardized labels)
-  double length_scale = 1.0;
-  double noise_variance = 1e-2;
-  double signal_variance = 1.0;
-  double log_marginal_likelihood = 0.0;
-};
-
 class GaussianProcessRegressor final : public Regressor {
  public:
   explicit GaussianProcessRegressor(GpConfig config = {});
@@ -59,14 +44,6 @@ class GaussianProcessRegressor final : public Regressor {
   [[nodiscard]] double length_scale() const noexcept { return length_scale_; }
   [[nodiscard]] double noise_variance() const noexcept { return noise_variance_; }
   [[nodiscard]] double log_marginal_likelihood() const noexcept { return best_lml_; }
-
-  /// Copies out the fitted state. Throws std::logic_error if not fitted.
-  [[nodiscard]] GpParams export_params() const;
-
-  /// Adopts previously exported state and marks the model fitted;
-  /// posterior() becomes bit-exact with the exporting model.
-  /// Throws std::invalid_argument on inconsistent shapes or hyperparameters.
-  void import_params(GpParams params);
 
  private:
   double compute_lml(const Matrix& k, const Vector& ys, Matrix* chol_out,

@@ -9,7 +9,6 @@
 #pragma once
 
 #include <memory>
-#include <utility>
 
 #include "core/units.hpp"
 #include "models/gp.hpp"
@@ -30,13 +29,6 @@ class GpIntervalRegressor final : public IntervalRegressor {
   [[nodiscard]] MiscoverageAlpha alpha() const override { return alpha_; }
 
   [[nodiscard]] const GaussianProcessRegressor& gp() const { return gp_; }
-
-  /// Copies out the fitted GP state. Throws std::logic_error if not fitted.
-  [[nodiscard]] GpParams export_params() const { return gp_.export_params(); }
-
-  /// Adopts previously exported GP state (see
-  /// GaussianProcessRegressor::import_params).
-  void import_params(GpParams params) { gp_.import_params(std::move(params)); }
 
  private:
   MiscoverageAlpha alpha_;

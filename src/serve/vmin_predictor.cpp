@@ -4,7 +4,6 @@
 #include <utility>
 
 #include "core/contracts.hpp"
-#include "data/scaler.hpp"
 #include "models/interval.hpp"
 #include "parallel/parallel_for.hpp"
 
@@ -33,11 +32,6 @@ VminPredictor::VminPredictor(artifact::VminBundle bundle)
           "VminPredictor: selected feature index out of range");
     }
   }
-  if (bundle_.has_input_scaler &&
-      bundle_.input_scaler.means.size() != bundle_.dataset_columns.size()) {
-    throw std::invalid_argument(
-        "VminPredictor: input scaler width does not match dataset columns");
-  }
 }
 
 VminPredictor VminPredictor::load_file(const std::string& path) {
@@ -62,12 +56,10 @@ std::vector<IntervalPrediction> VminPredictor::predict_batch(
         std::to_string(bundle_.dataset_columns.size()));
   }
 
-  // Identity fast path: no scaler and selected == all columns in order
-  // means the caller's batch IS the design matrix — skip both the defensive
-  // copy and the take_cols gather (together they cost as much as a model
-  // predict on a large batch).
-  bool identity = !bundle_.has_input_scaler &&
-                  bundle_.selected_features.size() == x.cols();
+  // Identity fast path: selected == all columns in order means the caller's
+  // batch IS the design matrix — skip the take_cols gather (it costs as much
+  // as a model predict on a large batch).
+  bool identity = bundle_.selected_features.size() == x.cols();
   if (identity) {
     for (std::size_t c = 0; c < x.cols(); ++c) {
       if (bundle_.selected_features[c] != c) {
@@ -76,17 +68,9 @@ std::vector<IntervalPrediction> VminPredictor::predict_batch(
       }
     }
   }
-  Matrix scratch;
-  if (!identity) {
-    scratch = x;  // local copy: scaling must not mutate the caller's batch
-    if (bundle_.has_input_scaler) {
-      data::StandardScaler scaler;
-      scaler.import_params(bundle_.input_scaler);
-      scratch = scaler.transform(scratch);
-    }
-    scratch = scratch.take_cols(bundle_.selected_features);
-  }
-  const Matrix& design = identity ? x : scratch;
+  Matrix gathered;
+  if (!identity) gathered = x.take_cols(bundle_.selected_features);
+  const Matrix& design = identity ? x : gathered;
 
   // Row-sharded inference: every supported interval method computes each
   // test row independently (conformal quantiles are additive constants

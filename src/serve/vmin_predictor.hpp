@@ -1,10 +1,10 @@
 // Serve-time Vmin predictor — the consumer side of the fit/serve boundary.
 //
-// VminPredictor loads ONE artifact bundle (scenario -> columns -> optional
-// scaler -> fitted base model -> conformal calibration) and serves batched
-// interval predictions with zero training code: this layer is forbidden (and
-// lint-enforced, see tools/vmincqr_lint/layers.toml) from including fit-time
-// model internals or the orchestration layer. A serve build cannot train.
+// VminPredictor loads ONE artifact bundle (scenario -> columns -> fitted
+// quantile pair -> CQR calibration) and serves batched interval predictions
+// with zero training code: this layer is forbidden (and lint-enforced, see
+// tools/vmincqr_lint/layers.toml) from including fit-time model internals or
+// the orchestration layer. A serve build cannot train.
 //
 // Intended deployment shape (paper Sec. V): fit once per scenario on the
 // characterization population, ship the .vqa artifact to the tester, screen
@@ -51,8 +51,8 @@ class VminPredictor {
 
   /// Screens a batch of chips: one row per chip, one column per bundle
   /// dataset column (see info().n_dataset_columns), in artifact order. The
-  /// predictor applies the saved feature selection (and input scaler, if
-  /// present) internally, so callers feed the full assembled design.
+  /// predictor applies the saved feature selection internally, so callers
+  /// feed the full assembled design.
   /// Throws std::invalid_argument on a column-count mismatch or empty batch.
   [[nodiscard]] std::vector<IntervalPrediction> predict_batch(
       const Matrix& x) const;

@@ -1,6 +1,6 @@
 // Serve-path allocation pins: the exact number of heap allocations
 // VminPredictor::from_bytes and predict_batch (and predict_interval for the
-// interval methods the codec does not carry) perform, per bundle and batch
+// interval methods a bundle does not carry) perform, per bundle and batch
 // size, at widths 1, 2 and 8.
 //
 // This binary replaces every replaceable global `operator new` form (plain,
@@ -187,12 +187,17 @@ const std::vector<linalg::Matrix>& fresh_batches() {
   return batches;
 }
 
-/// Fits `model` on 200 rows of the shared problem and wraps it in an
-/// identity-column bundle (13 dataset columns, all selected, no scaler).
+/// Fits `model` on 200 rows of the shared problem.
+void fit_shared(models::IntervalRegressor& model) {
+  const Problem train = make_problem(200, 7);
+  model.fit(train.x, train.y);
+}
+
+/// Fits `model` as fit_shared does and wraps it in an identity-column bundle
+/// (13 dataset columns, all selected).
 std::vector<std::uint8_t> encode_identity_bundle(
     std::unique_ptr<models::IntervalRegressor> model) {
-  const Problem train = make_problem(200, 7);
-  model->fit(train.x, train.y);
+  fit_shared(*model);
   artifact::VminBundle bundle;
   bundle.label = model->name();
   for (std::size_t c = 0; c < kFeatures; ++c) {
@@ -224,8 +229,8 @@ void expect_serve_pins(const std::vector<std::uint8_t>& bytes,
   }
 }
 
-/// Same protocol through predict_interval, for fitted interval methods the
-/// codec does not carry (from_bytes stays 0).
+/// Same protocol through predict_interval, for fitted interval methods a
+/// bundle does not carry (from_bytes stays 0).
 void expect_interval_pins(const models::IntervalRegressor& model,
                           const std::vector<linalg::Matrix>& batches,
                           const Pins& expected) {
@@ -272,28 +277,30 @@ TEST(ServeAllocations, CqrMlp) {
 }
 
 TEST(ServeAllocations, GpInterval) {
-  expect_serve_pins(
-      encode_identity_bundle(std::make_unique<models::GpIntervalRegressor>(kAlpha)),
-      fresh_batches(), {10, {9, 10, 23, 25, 75, 44, 75, 75, 83, 294}});
+  models::GpIntervalRegressor model(kAlpha);
+  fit_shared(model);
+  expect_interval_pins(model, fresh_batches(),
+                       {0, {7, 8, 21, 22, 72, 41, 72, 72, 60, 72}});
 }
 
 TEST(ServeAllocations, SplitCp) {
-  expect_serve_pins(
-      encode_identity_bundle(std::make_unique<conformal::SplitConformalRegressor>(
-          kAlpha, models::make_point_regressor(models::ModelKind::kXgboost))),
-      fresh_batches(), {1671, {5, 5, 5, 6, 6, 6, 6, 7, 11, 22}});
+  conformal::SplitConformalRegressor model(
+      kAlpha, models::make_point_regressor(models::ModelKind::kXgboost));
+  fit_shared(model);
+  expect_interval_pins(model, fresh_batches(),
+                       {0, {3, 3, 3, 3, 3, 3, 3, 4, 4, 4}});
 }
 
 TEST(ServeAllocations, NormalizedCp) {
-  expect_serve_pins(
-      encode_identity_bundle(
-          std::make_unique<conformal::NormalizedConformalRegressor>(
-              kAlpha, models::make_point_regressor(models::ModelKind::kLinear),
-              models::make_point_regressor(models::ModelKind::kLinear))),
-      fresh_batches(), {12, {12, 12, 12, 13, 13, 13, 13, 13, 24, 46}});
+  conformal::NormalizedConformalRegressor model(
+      kAlpha, models::make_point_regressor(models::ModelKind::kLinear),
+      models::make_point_regressor(models::ModelKind::kLinear));
+  fit_shared(model);
+  expect_interval_pins(model, fresh_batches(),
+                       {0, {10, 10, 10, 10, 10, 10, 10, 10, 10, 10}});
 }
 
-// The non-identity serve path (defensive copy, take_cols gather), on the
+// The non-identity serve path (one take_cols gather), on the
 // screen bundle serve_test's fixture builds: CQR-linear over 6 CFS-selected
 // columns of a wide monitor design.
 TEST(ServeAllocations, FitScreenBundle) {
@@ -315,14 +322,13 @@ TEST(ServeAllocations, FitScreenBundle) {
     }
   }
   expect_serve_pins(bytes, batches_of(tiled),
-                    {14, {12, 12, 12, 13, 13, 13, 13, 13, 22, 40}});
+                    {14, {11, 11, 11, 12, 12, 12, 12, 12, 21, 39}});
 }
 
 TEST(ServeAllocations, CvPlusPredictInterval) {
   conformal::CvPlusRegressor model(
       kAlpha, models::make_point_regressor(models::ModelKind::kXgboost));
-  const Problem train = make_problem(200, 7);
-  model.fit(train.x, train.y);
+  fit_shared(model);
   expect_interval_pins(model, fresh_batches(),
                        {0, {11, 13, 40, 42, 138, 76, 138, 143, 119, 143}});
 }
@@ -333,8 +339,7 @@ TEST(ServeAllocations, MondrianPredictInterval) {
   conformal::MondrianCqr model(
       kAlpha, models::make_quantile_pair(models::ModelKind::kLinear, kAlpha),
       sign_group);
-  const Problem train = make_problem(200, 7);
-  model.fit(train.x, train.y);
+  fit_shared(model);
   expect_interval_pins(model, fresh_batches(),
                        {0, {8, 8, 8, 8, 8, 8, 8, 8, 8, 8}});
 }

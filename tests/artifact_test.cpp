@@ -10,15 +10,14 @@
 #include <limits>
 #include <memory>
 #include <utility>
+#include <vector>
 
 #include "artifact/bundle.hpp"
 #include "artifact/codec.hpp"
 #include "artifact/model_codec.hpp"
 #include "conformal/cqr.hpp"
-#include "conformal/normalized.hpp"
 #include "conformal/split_cp.hpp"
 #include "core/pipeline.hpp"
-#include "models/elastic_net.hpp"
 #include "models/factory.hpp"
 #include "models/gbt.hpp"
 #include "models/linear.hpp"
@@ -221,51 +220,17 @@ std::string kind_suffix(models::ModelKind kind) {
   return "Unknown";
 }
 
+// The four quantile-pair members: the only point models a bundle carries.
 INSTANTIATE_TEST_SUITE_P(AllKinds, PointModelRoundTrip,
-                         ::testing::ValuesIn(models::point_model_zoo()),
+                         ::testing::ValuesIn(models::quantile_model_zoo()),
                          [](const auto& param_info) {
                            return kind_suffix(param_info.param);
                          });
-
-TEST(ArtifactModels, ElasticNetRoundTripBitExact) {
-  const Problem train = make_problem(60, 6);
-  const Problem fresh = make_problem(25, 6, 11);
-  models::ElasticNetRegressor model;
-  model.fit(train.x, train.y);
-  const auto decoded = roundtrip_point(model);
-  expect_bitexact(model.predict(fresh.x), decoded->predict(fresh.x));
-}
 
 TEST(ArtifactModels, UnfittedModelRefusesToEncode) {
   models::LinearRegressor unfitted;
   artifact::Writer writer;
   EXPECT_THROW(artifact::encode_regressor(writer, unfitted), std::logic_error);
-}
-
-TEST(ArtifactModels, QuantilePairRoundTripBitExact) {
-  const Problem train = make_problem(60, 6);
-  const Problem fresh = make_problem(25, 6, 11);
-  auto pair = models::make_quantile_pair(models::ModelKind::kLinear,
-                                         core::MiscoverageAlpha{0.1});
-  pair->fit(train.x, train.y);
-  const auto decoded = roundtrip_interval(*pair);
-  const auto a = pair->predict_interval(fresh.x);
-  const auto b = decoded->predict_interval(fresh.x);
-  expect_bitexact(a.lower, b.lower);
-  expect_bitexact(a.upper, b.upper);
-  EXPECT_EQ(decoded->name(), pair->name());
-}
-
-TEST(ArtifactModels, GpIntervalRoundTripBitExact) {
-  const Problem train = make_problem(60, 6);
-  const Problem fresh = make_problem(25, 6, 11);
-  models::GpIntervalRegressor gp(core::MiscoverageAlpha{0.1});
-  gp.fit(train.x, train.y);
-  const auto decoded = roundtrip_interval(gp);
-  const auto a = gp.predict_interval(fresh.x);
-  const auto b = decoded->predict_interval(fresh.x);
-  expect_bitexact(a.lower, b.lower);
-  expect_bitexact(a.upper, b.upper);
 }
 
 class CqrRoundTrip : public ::testing::TestWithParam<conformal::CqrMode> {};
@@ -286,6 +251,7 @@ TEST_P(CqrRoundTrip, CalibrationSurvivesSaveLoad) {
   const auto b = decoded->predict_interval(fresh.x);
   expect_bitexact(a.lower, b.lower);
   expect_bitexact(a.upper, b.upper);
+  EXPECT_EQ(decoded->name(), cqr.name());
   const auto* decoded_cqr =
       dynamic_cast<const conformal::ConformalizedQuantileRegressor*>(
           decoded.get());
@@ -305,33 +271,67 @@ INSTANTIATE_TEST_SUITE_P(BothModes, CqrRoundTrip,
                                       : std::string("Asymmetric");
                          });
 
-TEST(ArtifactModels, SplitCpRoundTripBitExact) {
+// CQR over a quantile pair is the one predictor a bundle holds: an
+// uncalibrated band or any other interval method is refused both ways.
+TEST(ArtifactModels, OnlyCqrOverAQuantilePairIsSerializable) {
   const Problem train = make_problem(80, 6);
-  const Problem fresh = make_problem(25, 6, 11);
-  conformal::SplitConformalRegressor cp(
-      core::MiscoverageAlpha{0.1},
-      models::make_point_regressor(models::ModelKind::kLinear));
-  cp.fit(train.x, train.y);
-  const auto decoded = roundtrip_interval(cp);
-  const auto a = cp.predict_interval(fresh.x);
-  const auto b = decoded->predict_interval(fresh.x);
-  expect_bitexact(a.lower, b.lower);
-  expect_bitexact(a.upper, b.upper);
-}
+  const core::MiscoverageAlpha alpha{0.1};
+  // Encoding refuses a bare QR pair, another conformal method, and CQR over
+  // a base that is not a quantile pair.
+  std::vector<std::unique_ptr<models::IntervalRegressor>> refused;
+  refused.push_back(
+      models::make_quantile_pair(models::ModelKind::kLinear, alpha));
+  refused.push_back(std::make_unique<conformal::SplitConformalRegressor>(
+      alpha, models::make_point_regressor(models::ModelKind::kLinear)));
+  refused.push_back(
+      std::make_unique<conformal::ConformalizedQuantileRegressor>(
+          alpha, std::make_unique<models::GpIntervalRegressor>(alpha)));
+  for (const auto& model : refused) {
+    model->fit(train.x, train.y);
+    artifact::Writer writer;
+    EXPECT_THROW(artifact::encode_interval_regressor(writer, *model),
+                 artifact::ArtifactError)
+        << model->name();
+  }
 
-TEST(ArtifactModels, NormalizedCpRoundTripBitExact) {
-  const Problem train = make_problem(80, 6);
-  const Problem fresh = make_problem(25, 6, 11);
-  conformal::NormalizedConformalRegressor ncp(
-      core::MiscoverageAlpha{0.1},
-      models::make_point_regressor(models::ModelKind::kLinear),
-      models::make_point_regressor(models::ModelKind::kLinear));
-  ncp.fit(train.x, train.y);
-  const auto decoded = roundtrip_interval(ncp);
-  const auto a = ncp.predict_interval(fresh.x);
-  const auto b = decoded->predict_interval(fresh.x);
-  expect_bitexact(a.lower, b.lower);
-  expect_bitexact(a.upper, b.upper);
+  // Hand-written predictor regions that decode must refuse: a bare QPAR, a
+  // CQRC nesting two QPARs, and a QPAR after a well-formed CQRC.
+  const auto linear = models::make_point_regressor(models::ModelKind::kLinear);
+  linear->fit(train.x, train.y);
+  const auto put_pair = [&](artifact::Writer& writer) {
+    writer.begin_chunk(artifact::ChunkKind::kQuantilePair);
+    writer.put_f64(alpha.value());
+    writer.put_str("QR Linear Regression");
+    artifact::encode_regressor(writer, *linear);
+    artifact::encode_regressor(writer, *linear);
+    writer.end_chunk();
+  };
+  artifact::Writer bare;
+  put_pair(bare);
+
+  artifact::Writer nested_twice;
+  nested_twice.begin_chunk(artifact::ChunkKind::kCqr);
+  nested_twice.put_f64(alpha.value());
+  nested_twice.put_u8(0);  // symmetric
+  nested_twice.put_f64(0.0);
+  nested_twice.put_f64(0.0);
+  put_pair(nested_twice);
+  put_pair(nested_twice);
+  nested_twice.end_chunk();
+
+  conformal::ConformalizedQuantileRegressor cqr(
+      alpha, models::make_quantile_pair(models::ModelKind::kLinear, alpha));
+  cqr.fit(train.x, train.y);
+  artifact::Writer trailing;
+  artifact::encode_interval_regressor(trailing, cqr);
+  put_pair(trailing);
+
+  for (artifact::Writer* writer : {&bare, &nested_twice, &trailing}) {
+    const auto bytes = writer->finish();
+    artifact::Reader reader = artifact::Reader::open(bytes);
+    EXPECT_THROW((void)artifact::decode_interval_regressor(reader),
+                 artifact::ArtifactError);
+  }
 }
 
 TEST(ArtifactModels, DecodeRejectsBadCqrModeByte) {

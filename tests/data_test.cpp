@@ -1,11 +1,9 @@
-// Unit tests for the data module: Dataset, splits, scaler, CSV, CFS.
+// Unit tests for the data module: Dataset, splits, scaler, CFS.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <set>
-#include <sstream>
 
-#include "data/csv.hpp"
 #include "data/dataset.hpp"
 #include "data/feature_select.hpp"
 #include "data/scaler.hpp"
@@ -182,42 +180,6 @@ TEST(Scaler, LabelScalerRoundTrip) {
   const Vector back = scaler.inverse_transform(z);
   for (std::size_t i = 0; i < y.size(); ++i) EXPECT_NEAR(back[i], y[i], 1e-12);
   EXPECT_NEAR(scaler.inverse_transform(z[2]), y[2], 1e-12);
-}
-
-TEST(Csv, MatrixRoundTrip) {
-  Matrix m{{1.5, -2.25}, {3.0, 4.125}};
-  std::stringstream ss;
-  write_csv(ss, m, {"a", "b"});
-  std::vector<std::string> header;
-  Matrix back = read_csv(ss, true, &header);
-  EXPECT_EQ(header, (std::vector<std::string>{"a", "b"}));
-  EXPECT_EQ(back, m);
-}
-
-TEST(Csv, RejectsRaggedAndGarbage) {
-  {
-    std::stringstream ss("1,2\n3\n");
-    EXPECT_THROW(read_csv(ss), std::runtime_error);
-  }
-  {
-    std::stringstream ss("1,x\n");
-    EXPECT_THROW(read_csv(ss), std::runtime_error);
-  }
-}
-
-TEST(Csv, DatasetExportHasHeaderAndLabels) {
-  const Dataset ds = make_small_dataset();
-  std::stringstream ss;
-  write_dataset_csv(ss, ds);
-  std::string header;
-  std::getline(ss, header);
-  EXPECT_NE(header.find("par_a"), std::string::npos);
-  EXPECT_NE(header.find("vmin_t24_T125"), std::string::npos);
-  // 3 data lines follow.
-  int lines = 0;
-  std::string line;
-  while (std::getline(ss, line)) lines += !line.empty();
-  EXPECT_EQ(lines, 3);
 }
 
 TEST(Cfs, MeritPrefersInformativeUncorrelatedSubsets) {

@@ -4,6 +4,9 @@
 // on-chip monitor benefit (Table IV) — at test-suite-friendly sizes.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+
 #include "core/experiment.hpp"
 #include "silicon/dataset_gen.hpp"
 
@@ -114,6 +117,21 @@ TEST_F(IntegrationFixture, AllTable3MethodsRunAtOneScenario) {
       EXPECT_GE(score.coverage_pct, 82.0) << score.method;
     }
   }
+  // Every row's numbers, bit for bit: a 64-bit FNV-1a digest over the
+  // little-endian bytes of each mean_length_mv, then coverage_pct, in
+  // table3_methods() order.
+  std::uint64_t digest = 0xcbf29ce484222325ULL;
+  for (const auto& score : scores) {
+    for (const double value : {score.mean_length_mv, score.coverage_pct}) {
+      const auto bits = std::bit_cast<std::uint64_t>(value);
+      for (int byte = 0; byte < 8; ++byte) {
+        digest ^= (bits >> (8 * byte)) & 0xFFU;
+        digest *= 0x100000001b3ULL;
+      }
+    }
+  }
+  EXPECT_EQ(digest, 0x5a81613326f112f3ULL)
+      << "Table III digest 0x" << std::hex << digest;
 }
 
 }  // namespace

@@ -15,7 +15,6 @@
 #include "artifact/bundle.hpp"
 #include "conformal/cqr.hpp"
 #include "core/pipeline.hpp"
-#include "data/scaler.hpp"
 #include "models/factory.hpp"
 #include "parallel/thread_pool.hpp"
 #include "rng/rng.hpp"
@@ -133,33 +132,6 @@ TEST(ServePredictor, RejectsOutOfRangeSelection) {
   bundle.predictor = std::move(cqr);
   EXPECT_THROW(serve::VminPredictor predictor(std::move(bundle)),
                std::invalid_argument);
-}
-
-TEST(ServePredictor, AppliesSavedInputScaler) {
-  const Fitted& f = fixture();
-  // Graft a nontrivial scaler onto the decoded bundle, then verify the serve
-  // path applies exactly the same transform as a StandardScaler restored from
-  // the same params: scaled.predict(x) == unscaled.predict(transform(x)).
-  auto bundle = artifact::decode_bundle(f.bytes);
-  const std::size_t width = bundle.dataset_columns.size();
-  data::ScalerParams params;
-  params.means.assign(width, 0.25);
-  params.scales.assign(width, 1.5);
-  bundle.has_input_scaler = true;
-  bundle.input_scaler = params;
-  const serve::VminPredictor scaled(std::move(bundle));
-
-  data::StandardScaler reference_scaler;
-  reference_scaler.import_params(params);
-  const auto unscaled = serve::VminPredictor::from_bytes(f.bytes);
-  const auto expected =
-      unscaled.predict_batch(reference_scaler.transform(f.reference_design));
-  const auto served = scaled.predict_batch(f.reference_design);
-  ASSERT_EQ(served.size(), expected.size());
-  for (std::size_t i = 0; i < served.size(); ++i) {
-    EXPECT_EQ(served[i].lower, expected[i].lower) << "chip " << i;
-    EXPECT_EQ(served[i].upper, expected[i].upper) << "chip " << i;
-  }
 }
 
 TEST(ServePredictor, LoadFileMatchesFromBytes) {
