@@ -69,6 +69,10 @@ FittedScreen fit_screen(const ScenarioData& data, models::ModelKind kind,
                   "fit_screen: need at least 8 chips to split and calibrate");
   VMINCQR_CHECK_SHAPE(data.x.rows() == data.y.size(),
                       "fit_screen: design/label row mismatch");
+  // Always on: CQR's coverage guarantee assumes finite scores, so a NaN or
+  // infinite feature or label is rejected before the split in every build.
+  VMINCQR_REQUIRE(all_finite(data.x.data()) && all_finite(data.y),
+                  "fit_screen: non-finite feature or label");
   const data::RowSplit split = data::split_rows(
       data.x, data.y, config.split.train_fraction, config.split.seed);
 

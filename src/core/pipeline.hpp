@@ -78,7 +78,9 @@ struct FittedScreen {
 /// features on the proper-training part (no calibration leakage), fit the
 /// CQR-wrapped quantile pair, calibrate (the paper's symmetric Eq. 9-10).
 /// Table III's CQR rows and every served bundle come from this one function.
-/// Throws std::invalid_argument on a design too small to split.
+/// Throws std::invalid_argument on a design too small to split, and a
+/// "precondition" core::contract_violation on any non-finite feature or label
+/// (in every build type).
 FittedScreen fit_screen(const ScenarioData& data, models::ModelKind kind,
                         const PipelineConfig& config, std::size_t n_features);
 

@@ -217,11 +217,11 @@ class Hours {
 };
 
 // ---------------------------------------------------------------------------
-// Index tags.
+// Index tag.
 //
-// Opaque indices: unlike the quantities above these do NOT convert
-// implicitly (to size_t or each other), so a chip index can never be used
-// where a read-point index is expected. Use value() at the container
+// An opaque index: unlike the quantities above it does NOT convert
+// implicitly (not even to size_t), so a chip index can never be used where a
+// column or read-point position is expected. Use value() at the container
 // boundary.
 
 /// Index of a chip (row) in the generated population.
@@ -233,17 +233,6 @@ class ChipId {
 
  private:
   std::size_t id_;
-};
-
-/// Index into the stress read-point schedule ({0, 24, 48, ...} hours).
-class ReadPointIdx {
- public:
-  explicit constexpr ReadPointIdx(std::size_t idx) : idx_(idx) {}
-  [[nodiscard]] constexpr std::size_t value() const noexcept { return idx_; }
-  friend constexpr auto operator<=>(ReadPointIdx, ReadPointIdx) = default;
-
- private:
-  std::size_t idx_;
 };
 
 }  // namespace vmincqr::core

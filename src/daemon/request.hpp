@@ -8,7 +8,6 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "serve/vmin_predictor.hpp"
@@ -37,25 +36,6 @@ enum class ServeStatus : std::uint8_t {
   /// control loop; the batch is answered, the daemon keeps running).
   kInternalError = 5,
 };
-
-/// Human-readable status label for logs and test diagnostics.
-[[nodiscard]] inline std::string serve_status_name(ServeStatus status) {
-  switch (status) {
-    case ServeStatus::kOk:
-      return "ok";
-    case ServeStatus::kShedQueueFull:
-      return "shed-queue-full";
-    case ServeStatus::kShedShutdown:
-      return "shed-shutdown";
-    case ServeStatus::kBadWidth:
-      return "bad-width";
-    case ServeStatus::kNoArtifact:
-      return "no-artifact";
-    case ServeStatus::kInternalError:
-      return "internal-error";
-  }
-  return "unknown";
-}
 
 /// The daemon's answer for one query.
 struct ServeResponse {

@@ -134,10 +134,9 @@ void GaussianProcessRegressor::fit(const Matrix& x, const Vector& y) {
       [](GridCandidate acc, GridCandidate part) {
         return part.lml > acc.lml ? part : acc;
       });
-  best_lml_ = best.lml;
   length_scale_ = best.length_scale;
   noise_variance_ = best.noise_variance;
-  if (!std::isfinite(best_lml_)) {
+  if (!std::isfinite(best.lml)) {
     throw std::runtime_error(
         "GaussianProcessRegressor::fit: no hyperparameter setting produced a "
         "positive-definite kernel");

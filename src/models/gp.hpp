@@ -43,7 +43,6 @@ class GaussianProcessRegressor final : public Regressor {
 
   [[nodiscard]] double length_scale() const noexcept { return length_scale_; }
   [[nodiscard]] double noise_variance() const noexcept { return noise_variance_; }
-  [[nodiscard]] double log_marginal_likelihood() const noexcept { return best_lml_; }
 
  private:
   double compute_lml(const Matrix& k, const Vector& ys, Matrix* chol_out,
@@ -58,7 +57,6 @@ class GaussianProcessRegressor final : public Regressor {
   Vector alpha_;         // (K + sn2 I)^{-1} y
   double length_scale_ = 1.0;
   double noise_variance_ = 1e-2;
-  double best_lml_ = 0.0;
   std::size_t n_features_ = 0;
   bool fitted_ = false;
 };

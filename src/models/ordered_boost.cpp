@@ -6,7 +6,6 @@
 #include <stdexcept>
 #include <utility>
 
-#include "core/binning.hpp"
 #include "parallel/parallel_for.hpp"
 #include "stats/descriptive.hpp"
 #include "stats/quantile.hpp"
@@ -38,7 +37,7 @@ constexpr std::size_t kMinParallelRows = 256;
 /// `x(i, f) <= border` scan adds, in the same order: the same sums, scores
 /// and winner, bit for bit, without a branch on x.
 LevelCandidate search_level(
-    const core::FeatureBinner& binner, const std::vector<std::uint16_t>& codes,
+    const FeatureBinner& binner, const std::vector<std::uint16_t>& codes,
     std::size_t n, std::size_t d, const Vector& grad, const Vector& hess,
     const std::vector<std::size_t>& leaf_of, const std::vector<double>& g_tot,
     const std::vector<double>& h_tot, double l2, bool use_pool) {
@@ -87,6 +86,47 @@ LevelCandidate search_level(
 }
 
 }  // namespace
+
+void FeatureBinner::import_edges(std::vector<std::vector<double>> edges) {
+  for (const auto& feature_edges : edges) {
+    if (feature_edges.size() > 65535) {
+      throw std::invalid_argument(
+          "FeatureBinner::import_edges: more than 65535 edges");
+    }
+    for (std::size_t i = 0; i < feature_edges.size(); ++i) {
+      if (!std::isfinite(feature_edges[i]) ||
+          (i > 0 && feature_edges[i - 1] >= feature_edges[i])) {
+        throw std::invalid_argument(
+            "FeatureBinner::import_edges: edges must be finite and strictly "
+            "ascending");
+      }
+    }
+  }
+  edges_ = std::move(edges);
+}
+
+std::uint16_t FeatureBinner::bin_of(std::size_t feature, double value) const {
+  const std::vector<double>& e = edges_[feature];
+  // Number of edges < value: lower_bound leaves exact edge hits IN the bin
+  // below, matching the `x <= threshold` left-branch convention.
+  return static_cast<std::uint16_t>(
+      std::lower_bound(e.begin(), e.end(), value) - e.begin());
+}
+
+std::vector<std::uint16_t> FeatureBinner::bin(const Matrix& x) const {
+  if (x.cols() != edges_.size()) {
+    throw std::invalid_argument("FeatureBinner::bin: feature count mismatch");
+  }
+  std::vector<std::uint16_t> codes(x.rows() * x.cols());
+  for (std::size_t r = 0; r < x.rows(); ++r) {
+    const double* row = x.row_ptr(r);
+    std::uint16_t* crow = codes.data() + r * x.cols();
+    for (std::size_t f = 0; f < x.cols(); ++f) {
+      crow[f] = bin_of(f, row[f]);
+    }
+  }
+  return codes;
+}
 
 OrderedBoostedTrees::OrderedBoostedTrees(OrderedBoostConfig config)
     : config_(config) {
@@ -151,7 +191,7 @@ void OrderedBoostedTrees::fit(const Matrix& x, const Vector& y) {
 
   // Every value is ranked against its feature's borders once per fit; each
   // level search then accumulates row-order suffix sums over the codes.
-  core::FeatureBinner binner;
+  FeatureBinner binner;
   binner.import_edges(compute_borders(x));
   const std::vector<std::uint16_t> codes = binner.bin(x);
 

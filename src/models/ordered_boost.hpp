@@ -12,9 +12,13 @@
 // sample's running prediction is updated with the prefix-only leaf estimate.
 // Split scoring uses plain (all-sample) statistics, as CatBoost's Plain mode
 // does; the `ordered` flag switches the leaf-estimation scheme.
+//
+// FeatureBinner ranks each value against its feature's borders once per fit,
+// so the level search tests a code instead of the value (invariant below).
 #pragma once
 
 #include <cstdint>
+#include <vector>
 
 #include "models/flat_forest.hpp"
 #include "models/losses.hpp"
@@ -64,6 +68,39 @@ struct ObliviousTree {
   [[nodiscard]] double predict_row(const double* row) const {
     return leaf_values[leaf_index(row)];
   }
+};
+
+/// Per-feature ranks of values against explicit split thresholds.
+///
+/// import_edges() adopts ascending bin EDGES per feature (ordered-boost
+/// borders), and bin_of() maps a value to its bin code. The invariant that
+/// makes a code an exact stand-in for a threshold test:
+///
+///   bin_of(f, v) <= b   <=>   v <= edges(f)[b]
+///
+/// so "bins 0..b go left" IS the tree split `x <= edges(f)[b]`, and a fitted
+/// tree stores ordinary thresholds — prediction never sees the binner.
+class FeatureBinner {
+ public:
+  /// Adopts explicit per-feature ascending edge lists (e.g. ordered-boost
+  /// borders); a feature with no edges is a single bin. Throws
+  /// std::invalid_argument on unsorted or non-finite edges or a feature
+  /// with > 65535 edges (codes are uint16).
+  void import_edges(std::vector<std::vector<double>> edges);
+
+  [[nodiscard]] const std::vector<double>& edges(std::size_t feature) const {
+    return edges_[feature];
+  }
+
+  /// Bin code of one value: the number of edges < value.
+  [[nodiscard]] std::uint16_t bin_of(std::size_t feature, double value) const;
+
+  /// Row-major (rows x features) code matrix for x. Throws
+  /// std::invalid_argument when x.cols() differs from the feature count.
+  [[nodiscard]] std::vector<std::uint16_t> bin(const Matrix& x) const;
+
+ private:
+  std::vector<std::vector<double>> edges_;  ///< ascending, per feature
 };
 
 /// Fitted state of an OrderedBoostedTrees ensemble. ObliviousTree is already

@@ -270,16 +270,6 @@ double RegressionTree::predict_row(const double* row) const {
   return nodes_[idx].value;
 }
 
-std::int32_t RegressionTree::leaf_id_for_row(const double* row) const {
-  std::int32_t idx = 0;
-  while (!nodes_[idx].is_leaf) {
-    idx = (row[nodes_[idx].feature] <= nodes_[idx].threshold)
-              ? nodes_[idx].left
-              : nodes_[idx].right;
-  }
-  return nodes_[idx].leaf_id;
-}
-
 Vector RegressionTree::predict(const Matrix& x) const {
   if (!fitted()) throw std::logic_error("RegressionTree::predict: not fitted");
   Vector out(x.rows());

@@ -104,9 +104,6 @@ class RegressionTree {
     return train_leaf_ids_;
   }
 
-  /// Leaf id a feature row would land in.
-  [[nodiscard]] std::int32_t leaf_id_for_row(const double* row) const;
-
   [[nodiscard]] std::size_t n_leaves() const noexcept { return n_leaves_; }
   [[nodiscard]] bool fitted() const noexcept { return !nodes_.empty(); }
 

@@ -39,13 +39,6 @@ Netlist::Netlist(std::size_t n_inputs, std::vector<Gate> gates,
   }
 }
 
-const Gate& Netlist::gate_at(std::size_t node) const {
-  if (node < n_inputs_ || node >= n_nodes()) {
-    throw std::out_of_range("Netlist::gate_at: not a gate node");
-  }
-  return gates_[node - n_inputs_];
-}
-
 Netlist Netlist::random(const RandomNetlistConfig& config, rng::Rng& rng) {
   if (config.n_gates == 0 || config.n_inputs == 0 || config.n_outputs == 0) {
     throw std::invalid_argument("Netlist::random: empty configuration");

@@ -45,9 +45,6 @@ class Netlist {
   [[nodiscard]] const std::vector<Gate>& gates() const noexcept { return gates_; }
   [[nodiscard]] const std::vector<std::size_t>& outputs() const noexcept { return outputs_; }
 
-  /// Gate for a node id >= n_inputs(). Throws std::out_of_range.
-  [[nodiscard]] const Gate& gate_at(std::size_t node) const;
-
  private:
   std::size_t n_inputs_;
   std::vector<Gate> gates_;

@@ -38,9 +38,4 @@ void Gate::wait_open() const {
   cv_.wait(lock, [&] { return open_; });
 }
 
-bool Gate::is_open() const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  return open_;
-}
-
 }  // namespace vmincqr::parallel

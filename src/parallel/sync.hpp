@@ -68,7 +68,6 @@ class Gate {
   void open();
   void close();
   void wait_open() const;
-  [[nodiscard]] bool is_open() const;
 
  private:
   mutable std::mutex mutex_;

@@ -29,21 +29,9 @@ double AgingModel::delta_vth(const ChipLatent& chip,
   return base * chip.activity * vth_factor * defect_factor;
 }
 
-std::vector<double> AgingModel::delta_vth_series(
-    const ChipLatent& chip, const std::vector<double>& hours) const {
-  std::vector<double> out;
-  out.reserve(hours.size());
-  for (double h : hours) out.push_back(delta_vth(chip, core::Hours{h}));
-  return out;
-}
-
 const std::vector<double>& standard_read_points() {
   static const std::vector<double> points = {0.0, 24.0, 48.0, 168.0, 504.0, 1008.0};
   return points;
-}
-
-core::Hours standard_read_point(core::ReadPointIdx idx) {
-  return core::Hours{standard_read_points().at(idx.value())};
 }
 
 const std::vector<double>& standard_temperatures() {

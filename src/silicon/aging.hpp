@@ -35,11 +35,6 @@ class AgingModel {
   /// construction already rejects negative or non-finite durations.
   [[nodiscard]] double delta_vth(const ChipLatent& chip, core::Hours hours) const;
 
-  /// Aging state for several read points at once (raw hour values; each is
-  /// validated through core::Hours).
-  std::vector<double> delta_vth_series(const ChipLatent& chip,
-                                       const std::vector<double>& hours) const;
-
   [[nodiscard]] const AgingConfig& config() const noexcept { return config_; }
 
  private:
@@ -48,11 +43,6 @@ class AgingModel {
 
 /// The paper's stress read points (hours): {0, 24, 48, 168, 504, 1008}.
 const std::vector<double>& standard_read_points();
-
-/// Strongly-indexed access into standard_read_points(); the tag type keeps
-/// read-point indices from being confused with chip or column indices.
-/// Throws std::out_of_range for an index past the schedule.
-core::Hours standard_read_point(core::ReadPointIdx idx);
 
 /// The paper's SCAN Vmin test temperatures (deg C): {-45, 25, 125}.
 const std::vector<double>& standard_temperatures();

@@ -49,7 +49,6 @@ class MonitorBank {
   /// Builds the sensor catalogue deterministically from `catalogue_rng`.
   MonitorBank(MonitorConfig config, rng::Rng& catalogue_rng);
 
-  [[nodiscard]] std::size_t n_sensors() const noexcept { return specs_.size(); }
   [[nodiscard]] const std::vector<MonitorSpec>& specs() const noexcept { return specs_; }
 
   /// Reads every sensor for one chip at stress time `hours`.

@@ -10,11 +10,6 @@ double normal_cdf(double x) {
   return 0.5 * std::erfc(-x / std::numbers::sqrt2);
 }
 
-double normal_pdf(double x) {
-  static const double inv_sqrt_2pi = 1.0 / std::sqrt(2.0 * std::numbers::pi);
-  return inv_sqrt_2pi * std::exp(-0.5 * x * x);
-}
-
 double normal_quantile(double p) {
   if (!(p > 0.0) || !(p < 1.0)) {
     throw std::invalid_argument("normal_quantile: p must be in (0, 1)");

@@ -7,9 +7,6 @@ namespace vmincqr::stats {
 /// Standard normal cumulative distribution function Phi(x).
 double normal_cdf(double x);
 
-/// Standard normal probability density function phi(x).
-double normal_pdf(double x);
-
 /// Inverse standard normal CDF Phi^{-1}(p) for p in (0, 1).
 /// Throws std::invalid_argument for p outside (0, 1).
 /// Acklam's rational approximation refined with one Halley step;

@@ -1,7 +1,7 @@
-// Tests for the application layer: screening policies and Vmin binning.
+// Tests for the application layer: interval and point screening against
+// min_spec, with overkill / underkill accounting and guard-band calibration.
 #include <gtest/gtest.h>
 
-#include "core/binning.hpp"
 #include "core/screening.hpp"
 
 namespace vmincqr::core {
@@ -78,63 +78,6 @@ TEST(Screening, GuardBandCalibration) {
       0.0);
   EXPECT_DOUBLE_EQ(guard.value(), 30.0);
   EXPECT_THROW(calibrate_guard_band(truth, pred, Volt{0.65}, {}, 0.0),
-               std::invalid_argument);
-}
-
-TEST(Binning, AssignsLowestSufficientBin) {
-  BinningConfig config{{0.55, 0.60, 0.65}};
-  const Vector required = {0.54, 0.55, 0.61, 0.70};
-  const Vector truth = {0.53, 0.54, 0.60, 0.69};
-  const auto result = bin_chips(required, truth, config);
-  EXPECT_EQ(result.bin_of_chip, (std::vector<int>{0, 0, 2, -1}));
-  EXPECT_EQ(result.bin_counts, (std::vector<std::size_t>{2, 0, 1}));
-  EXPECT_EQ(result.n_unbinnable, 1u);
-  EXPECT_NEAR(result.mean_voltage, (0.55 + 0.55 + 0.65) / 3.0, 1e-12);
-  EXPECT_DOUBLE_EQ(result.violation_rate, 0.0);
-}
-
-TEST(Binning, ViolationWhenTruthExceedsBin) {
-  BinningConfig config{{0.55, 0.60}};
-  const Vector required = {0.54};  // bin 0 (0.55 V)
-  const Vector truth = {0.57};     // true Vmin above the allocated bin
-  const auto result = bin_chips(required, truth, config);
-  EXPECT_DOUBLE_EQ(result.violation_rate, 1.0);
-}
-
-TEST(Binning, Validation) {
-  EXPECT_THROW(bin_chips({0.5}, {}, BinningConfig{{}}),
-               std::invalid_argument);
-  EXPECT_THROW(bin_chips({0.5}, {}, BinningConfig{{0.6, 0.6}}),
-               std::invalid_argument);
-  EXPECT_THROW(bin_chips({0.5}, {}, BinningConfig{{0.6, 0.55}}),
-               std::invalid_argument);
-  EXPECT_THROW(bin_chips({}, {}, BinningConfig{{0.6}}),
-               std::invalid_argument);
-  EXPECT_THROW(bin_chips({0.5}, {0.5, 0.6}, BinningConfig{{0.6}}),
-               std::invalid_argument);
-  EXPECT_THROW(bin_by_point({0.5}, Millivolt{-10.0}, {}, BinningConfig{{0.6}}),
-               std::invalid_argument);
-}
-
-TEST(Binning, PointRuleAddsGuardBand) {
-  BinningConfig config{{0.55, 0.60, 0.65}};
-  const Vector predicted = {0.56};
-  const auto no_guard = bin_by_point(predicted, Millivolt{0.0}, {}, config);
-  const auto guarded = bin_by_point(predicted, Millivolt{50.0}, {}, config);
-  EXPECT_EQ(no_guard.bin_of_chip[0], 1);
-  EXPECT_EQ(guarded.bin_of_chip[0], 2);
-}
-
-TEST(Binning, VoltageSavingComputedOverCommonChips) {
-  BinningConfig config{{0.55, 0.60, 0.65}};
-  BinningResult a, b;
-  a.bin_of_chip = {0, 1, -1};
-  b.bin_of_chip = {1, 2, 0};
-  // Common chips: 0 and 1; saving = (0.60-0.55) + (0.65-0.60) over 2.
-  EXPECT_NEAR(mean_voltage_saving(a, b, config), 0.05, 1e-12);
-  BinningResult mismatched;
-  mismatched.bin_of_chip = {0};
-  EXPECT_THROW(mean_voltage_saving(a, mismatched, config),
                std::invalid_argument);
 }
 

@@ -1,15 +1,21 @@
-// Tests for the core pipeline layer: scenarios, feature assembly, model-
-// specific selection, report rendering.
+// Tests for the core pipeline layer: scenarios (including the forecasting
+// horizon), feature assembly, model-specific selection, fit_screen's input
+// contract, report rendering.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <exception>
+#include <limits>
+#include <string>
 #include <utility>
 #include <vector>
 
 #include "artifact/bundle.hpp"
+#include "core/contracts.hpp"
 #include "core/experiment.hpp"
 #include "core/pipeline.hpp"
 #include "core/report.hpp"
+#include "data/split.hpp"
 #include "parallel/thread_pool.hpp"
 #include "silicon/dataset_gen.hpp"
 
@@ -80,6 +86,39 @@ TEST(Scenario, DescribeIsReadable) {
   EXPECT_EQ(describe(s), "t=168h, T=-45C, features=parametric");
 }
 
+TEST(ForecastScenario, HorizonRestrictsMonitorHistory) {
+  silicon::GeneratorConfig config;
+  config.n_chips = 20;
+  config.parametric.features_per_temperature = 10;
+  config.monitors.n_rod = 4;
+  config.monitors.n_cpd = 1;
+  const auto generated = silicon::generate_dataset(config);
+
+  // Label at 1008 h, monitors only up to 168 h.
+  const Scenario forecast{1008.0, 25.0, FeatureSet::kBoth, 168.0};
+  const auto cols = scenario_feature_columns(generated.dataset, forecast);
+  for (auto c : cols) {
+    EXPECT_LE(generated.dataset.feature_info(c).read_point_hours, 168.0);
+  }
+  // Default horizon = the label read point: strictly more columns.
+  const Scenario nowcast{1008.0, 25.0, FeatureSet::kBoth};
+  EXPECT_GT(scenario_feature_columns(generated.dataset, nowcast).size(),
+            cols.size());
+  EXPECT_NE(describe(forecast).find("monitors<=168h"), std::string::npos);
+}
+
+TEST(ForecastScenario, LabelsStillComeFromTheTargetReadPoint) {
+  silicon::GeneratorConfig config;
+  config.n_chips = 12;
+  config.parametric.features_per_temperature = 5;
+  config.monitors.n_rod = 2;
+  config.monitors.n_cpd = 1;
+  const auto generated = silicon::generate_dataset(config);
+  const Scenario forecast{504.0, 125.0, FeatureSet::kBoth, 24.0};
+  EXPECT_EQ(scenario_labels(generated.dataset, forecast),
+            generated.dataset.label(504.0, 125.0).values);
+}
+
 TEST(Pipeline, AssembleScenarioShapes) {
   const auto generated = silicon::generate_dataset(small_config());
   const Scenario s{24.0, 125.0, FeatureSet::kBoth};
@@ -144,6 +183,71 @@ TEST(Pipeline, FitScreenInParallelMapMatchesSequentialBytes) {
     }
   }
   parallel::set_max_threads(0);
+}
+
+TEST(Pipeline, FitScreenRejectsNonFiniteInputsInEveryBuildType) {
+  // CQR's coverage guarantee assumes finite scores, so fit_screen refuses a
+  // non-finite label or feature before the split, in plain Release too, and
+  // whichever part of the split the poisoned chip would have landed in.
+  const auto generated = silicon::generate_dataset(small_config());
+  const auto clean =
+      assemble_scenario(generated.dataset, {0.0, 25.0, FeatureSet::kBoth});
+  const PipelineConfig config;
+  const double inf = std::numeric_limits<double>::infinity();
+  const std::vector<std::size_t> rows = {0, 13, 26, 39};
+  for (const double bad :
+       {std::numeric_limits<double>::quiet_NaN(), inf, -inf}) {
+    for (const std::size_t row : rows) {
+      for (const bool in_label : {true, false}) {
+        ScenarioData poisoned = clean;
+        (in_label ? poisoned.y[row] : poisoned.x(row, 3)) = bad;
+        const std::string where = std::to_string(bad) +
+                                  (in_label ? " in the label" : " in column 3") +
+                                  " of row " + std::to_string(row);
+        try {
+          static_cast<void>(
+              fit_screen(poisoned, models::ModelKind::kXgboost, config, 4));
+          ADD_FAILURE() << "fit_screen accepted " << where;
+        } catch (const contract_violation& e) {
+          EXPECT_EQ(e.kind(), "precondition") << where;
+          EXPECT_EQ(e.function(), "fit_screen") << where;
+        } catch (const std::exception& e) {
+          ADD_FAILURE() << where << " threw a non-contract error: " << e.what();
+        }
+      }
+    }
+  }
+}
+
+TEST(Pipeline, TreePrefilterAdmitsNoParametricColumnOnTheDefaultPopulation) {
+  // Fig. 3 and Table IV fit CQR-CatBoost behind the top-|r| tree prefilter.
+  // On the default population its 32 columns are all on-chip monitors, so
+  // the "on-chip+parametric" design reaches the model as exactly the
+  // "on-chip only" one, and the two rows of those benches coincide.
+  const auto generated = silicon::generate_dataset(silicon::GeneratorConfig{});
+  const PipelineConfig config;
+  const auto prefiltered = [&](FeatureSet set) {
+    const auto design =
+        assemble_scenario(generated.dataset, {0.0, 25.0, set});
+    const auto split = data::split_rows(design.x, design.y,
+                                        config.split.train_fraction,
+                                        config.split.seed);
+    std::vector<std::size_t> columns;
+    for (const std::size_t c : select_features_for_model(
+             split.x_train, split.y_train, models::ModelKind::kCatboost,
+             config, config.tree_prefilter)) {
+      columns.push_back(design.columns[c]);
+    }
+    return columns;
+  };
+  const auto both = prefiltered(FeatureSet::kBoth);
+  ASSERT_EQ(both.size(), 32u);
+  for (const std::size_t c : both) {
+    EXPECT_NE(generated.dataset.feature_info(c).type,
+              data::FeatureType::kParametric)
+        << "dataset column " << c;
+  }
+  EXPECT_EQ(both, prefiltered(FeatureSet::kOnChipOnly));
 }
 
 TEST(Experiment, Table3MethodsRoster) {

@@ -11,7 +11,6 @@
 #include <string>
 #include <vector>
 
-#include "core/binning.hpp"
 #include "linalg/kernels.hpp"
 #include "linalg/ops.hpp"
 #include "models/flat_forest.hpp"
@@ -225,7 +224,7 @@ TEST(FeatureBinner, ConstantFeatureGetsSingleBin) {
     x(i, 0) = 3.25;  // constant
     x(i, 1) = rng.normal();
   }
-  core::FeatureBinner binner;
+  models::FeatureBinner binner;
   binner.import_edges({{}, {-0.5, 0.0, 0.5}});
   EXPECT_TRUE(binner.edges(0).empty());
   EXPECT_EQ(binner.bin_of(0, -1e300), 0u);
@@ -242,7 +241,7 @@ TEST(FeatureBinner, BinOfAgreesWithEdgeComparisonIncludingTies) {
   // exercised with values exactly ON the edges (ties: the edges sit on the
   // same 0.25 grid as the values), between them and beyond both ends.
   const std::vector<double> edges = {-1.0, -0.25, 0.0, 0.5, 1.75};
-  core::FeatureBinner binner;
+  models::FeatureBinner binner;
   binner.import_edges({edges});
   std::vector<double> probes = {-1e9, 1e9, -0.0};
   for (int q = -12; q <= 12; ++q) probes.push_back(0.25 * q);
@@ -259,7 +258,7 @@ TEST(FeatureBinner, BinOfAgreesWithEdgeComparisonIncludingTies) {
 }
 
 TEST(FeatureBinner, ImportEdgesRejectsUnsortedAndNonFinite) {
-  core::FeatureBinner binner;
+  models::FeatureBinner binner;
   EXPECT_THROW(binner.import_edges({{1.0, 0.5}}), std::invalid_argument);
   EXPECT_THROW(binner.import_edges({{0.0, std::nan("")}}),
                std::invalid_argument);

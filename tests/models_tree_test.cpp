@@ -1,5 +1,6 @@
 // Tests for the tree-based models: RegressionTree, GradientBoostedTrees
-// (XGBoost-style), OrderedBoostedTrees (CatBoost-style).
+// (XGBoost-style), OrderedBoostedTrees (CatBoost-style), and their
+// gain-based feature importance.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -8,6 +9,7 @@
 #include <cstdint>
 #include <functional>
 #include <numeric>
+#include <stdexcept>
 #include <vector>
 
 #include "models/gbt.hpp"
@@ -506,6 +508,51 @@ TEST(TreeFitDigest, OrderedCatboostParamsArePinned) {
         return h.state;
       },
       0x5987638a138d1b93ULL);
+}
+
+TEST(FeatureImportance, GbtFindsTheSignalFeature) {
+  rng::Rng rng(7);
+  const std::size_t n = 300;
+  Matrix x(n, 5);
+  Vector y(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t c = 0; c < 5; ++c) x(i, c) = rng.normal();
+    y[i] = (x(i, 2) > 0.0 ? 1.0 : -1.0) + 0.1 * rng.normal();
+  }
+  GradientBoostedTrees gbt;
+  gbt.fit(x, y);
+  const auto importance = gbt.feature_importance();
+  ASSERT_EQ(importance.size(), 5u);
+  double total = 0.0;
+  for (double v : importance) total += v;
+  EXPECT_NEAR(total, 1.0, 1e-9);
+  for (std::size_t c = 0; c < 5; ++c) {
+    if (c != 2) {
+      EXPECT_GT(importance[2], importance[c]);
+    }
+  }
+}
+
+TEST(FeatureImportance, OrderedBoostFindsTheSignalFeature) {
+  rng::Rng rng(8);
+  const std::size_t n = 300;
+  Matrix x(n, 4);
+  Vector y(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t c = 0; c < 4; ++c) x(i, c) = rng.normal();
+    y[i] = 2.0 * x(i, 1) + 0.1 * rng.normal();
+  }
+  OrderedBoostedTrees cb;
+  cb.fit(x, y);
+  const auto importance = cb.feature_importance();
+  ASSERT_EQ(importance.size(), 4u);
+  for (std::size_t c = 0; c < 4; ++c) {
+    if (c != 1) {
+      EXPECT_GT(importance[1], importance[c]);
+    }
+  }
+  OrderedBoostedTrees unfitted;
+  EXPECT_THROW(unfitted.feature_importance(), std::logic_error);
 }
 
 }  // namespace

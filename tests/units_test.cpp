@@ -36,8 +36,6 @@ static_assert(!std::is_convertible_v<Volt, Millivolt>);
 static_assert(!std::is_convertible_v<Millivolt, Volt>);
 // Index tags are fully opaque: no implicit conversion even to size_t.
 static_assert(!std::is_convertible_v<ChipId, std::size_t>);
-static_assert(!std::is_convertible_v<ChipId, ReadPointIdx>);
-static_assert(!std::is_convertible_v<ReadPointIdx, ChipId>);
 // Conversion *to* double is implicit so values flow into numeric kernels.
 static_assert(std::is_convertible_v<QuantileLevel, double>);
 static_assert(std::is_convertible_v<MiscoverageAlpha, double>);
@@ -139,7 +137,7 @@ TEST(UnitsBoundary, VoltageConversionsAreExact) {
 
 TEST(UnitsBoundary, IndexTagsCompare) {
   EXPECT_LT(ChipId{3}, ChipId{5});
-  EXPECT_EQ(ReadPointIdx{2}.value(), 2u);
+  EXPECT_EQ(ChipId{2}.value(), 2u);
 }
 
 }  // namespace
