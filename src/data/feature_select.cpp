@@ -15,6 +15,66 @@ double abs_corr_col(const Matrix& x, std::size_t j, const Vector& v) {
   return std::abs(stats::pearson(x.col(j), v));
 }
 
+/// Per-column moments of x as stats::pearson forms them for a column: the
+/// mean divides the ascending-row sum by n, and ss is the ascending-row sum
+/// of squared deviations from that mean. Two row-major passes, no copies.
+struct ColumnMoments {
+  std::vector<double> mean;
+  std::vector<double> ss;
+};
+
+ColumnMoments column_moments(const Matrix& x) {
+  const std::size_t d = x.cols();
+  ColumnMoments m{std::vector<double>(d, 0.0), std::vector<double>(d, 0.0)};
+  for (std::size_t i = 0; i < x.rows(); ++i) {
+    const double* row = x.row_ptr(i);
+    for (std::size_t j = 0; j < d; ++j) m.mean[j] += row[j];
+  }
+  for (double& mj : m.mean) mj /= static_cast<double>(x.rows());
+  for (std::size_t i = 0; i < x.rows(); ++i) {
+    const double* row = x.row_ptr(i);
+    for (std::size_t j = 0; j < d; ++j) {
+      const double da = row[j] - m.mean[j];
+      m.ss[j] += da * da;
+    }
+  }
+  return m;
+}
+
+/// dv = y - stats::mean(y); returns the ascending sum of dv[i]^2.
+double centre(const Vector& y, Vector& dv) {
+  const double my = stats::mean(y);
+  double ss = 0.0;
+  for (std::size_t i = 0; i < y.size(); ++i) {
+    dv[i] = y[i] - my;
+    ss += dv[i] * dv[i];
+  }
+  return ss;
+}
+
+/// out[j] = |stats::pearson(column j of x, v)| for every column j, given v
+/// centred as dv with squared-deviation sum ss_v. One row-major pass forms
+/// every column's cross sum over ascending rows; each sum, product, square
+/// root, guard and clamp is pearson's own, on the same operands in the same
+/// order, so every |r| equals that function's bit for bit.
+void abs_corr_all(const Matrix& x, const ColumnMoments& m, const Vector& dv,
+                  double ss_v, std::vector<double>& out) {
+  std::fill(out.begin(), out.end(), 0.0);
+  for (std::size_t i = 0; i < x.rows(); ++i) {
+    const double* row = x.row_ptr(i);
+    const double db = dv[i];
+    for (std::size_t j = 0; j < out.size(); ++j) {
+      out[j] += (row[j] - m.mean[j]) * db;
+    }
+  }
+  for (std::size_t j = 0; j < out.size(); ++j) {
+    const double denom = std::sqrt(m.ss[j] * ss_v);
+    out[j] = denom <= 0.0 || !std::isfinite(denom)
+                 ? 0.0
+                 : std::abs(std::clamp(out[j] / denom, -1.0, 1.0));
+  }
+}
+
 }  // namespace
 
 double cfs_merit(const Matrix& x, const Vector& y,
@@ -54,9 +114,11 @@ std::vector<std::size_t> cfs_select(const Matrix& x, const Vector& y,
   if (x.empty() || max_features == 0) return {};
   const std::size_t budget = std::min<std::size_t>(max_features, x.cols());
 
-  // Precompute |r_cf| for all columns; cache columns to avoid repeated copies.
+  const ColumnMoments moments = column_moments(x);
+  Vector centred(x.rows());
+  const double ss_y = centre(y, centred);
   std::vector<double> rcf(x.cols());
-  for (std::size_t j = 0; j < x.cols(); ++j) rcf[j] = abs_corr_col(x, j, y);
+  abs_corr_all(x, moments, centred, ss_y, rcf);
 
   std::vector<std::size_t> selected;
   std::vector<bool> used(x.cols(), false);
@@ -69,41 +131,44 @@ std::vector<std::size_t> cfs_select(const Matrix& x, const Vector& y,
   selected.push_back(best0);
   used[best0] = true;
 
-  // Incremental merit bookkeeping: track sum of |r_cf| over the subset and
-  // the sum of pairwise |r_ff|, updating both when a candidate is added.
+  // Incremental merit bookkeeping: the subset's sums of |r_cf| and of
+  // pairwise |r_ff|, and per column add_rff[j], the sum of |r_ff| between
+  // column j and the selected columns, added in selection order.
   double sum_rcf = rcf[best0];
   double sum_rff = 0.0;
-  std::vector<Vector> selected_cols = {x.col(best0)};
+  std::vector<double> add_rff(x.cols(), 0.0);
+  std::vector<double> r_new(x.cols());
 
   while (selected.size() < budget) {
+    // Only the newest selected column is new to add_rff this round.
+    const std::size_t newest = selected.back();
+    for (std::size_t i = 0; i < x.rows(); ++i) {
+      centred[i] = x(i, newest) - moments.mean[newest];
+    }
+    abs_corr_all(x, moments, centred, moments.ss[newest], r_new);
+    for (std::size_t j = 0; j < x.cols(); ++j) add_rff[j] += r_new[j];
+
     double best_merit = -1.0;
     std::size_t best_j = x.cols();
-    double best_add_rff = 0.0;
     for (std::size_t j = 0; j < x.cols(); ++j) {
       if (used[j]) continue;
-      const Vector cj = x.col(j);
-      double add_rff = 0.0;
-      for (const auto& cs : selected_cols) {
-        add_rff += std::abs(stats::pearson(cj, cs));
-      }
       const auto k = static_cast<double>(selected.size() + 1);
       const double mean_rcf = (sum_rcf + rcf[j]) / k;
       const double pairs = k * (k - 1.0) / 2.0;
-      const double mean_rff = pairs > 0.0 ? (sum_rff + add_rff) / pairs : 0.0;
+      const double mean_rff =
+          pairs > 0.0 ? (sum_rff + add_rff[j]) / pairs : 0.0;
       const double denom = std::sqrt(k + k * (k - 1.0) * mean_rff);
       const double merit = denom > 0.0 ? k * mean_rcf / denom : 0.0;
       if (merit > best_merit) {
         best_merit = merit;
         best_j = j;
-        best_add_rff = add_rff;
       }
     }
     if (best_j == x.cols()) break;  // no candidates left
     used[best_j] = true;
     selected.push_back(best_j);
-    selected_cols.push_back(x.col(best_j));
     sum_rcf += rcf[best_j];
-    sum_rff += best_add_rff;
+    sum_rff += add_rff[best_j];
   }
   return selected;
 }
@@ -113,11 +178,14 @@ std::vector<std::size_t> top_correlated(const Matrix& x, const Vector& y,
   if (x.rows() != y.size()) {
     throw std::invalid_argument("top_correlated: dimension mismatch");
   }
+  if (x.cols() == 0) return {};
+  Vector centred(x.rows());
+  const double ss_y = centre(y, centred);
+  std::vector<double> r(x.cols());
+  abs_corr_all(x, column_moments(x), centred, ss_y, r);
   std::vector<std::pair<double, std::size_t>> scored;
   scored.reserve(x.cols());
-  for (std::size_t j = 0; j < x.cols(); ++j) {
-    scored.emplace_back(abs_corr_col(x, j, y), j);
-  }
+  for (std::size_t j = 0; j < x.cols(); ++j) scored.emplace_back(r[j], j);
   std::stable_sort(scored.begin(), scored.end(),
                    [](const auto& a, const auto& b) { return a.first > b.first; });
   std::vector<std::size_t> out;

@@ -10,16 +10,14 @@ constexpr std::size_t kRowBlock = 4;
 
 /// Output columns that accumulate together in registers: each c(i, j) of a
 /// block is loaded once, takes its whole reduction in a register and is
-/// stored once, instead of a load and a store per reduction term.
-constexpr std::size_t kColBlock = 4;
-
-// Each c(i, j) receives its terms in ascending order starting from the
-// caller's initial value, with the exact same `== 0.0` skips as the scalar
-// reference (a skipped term is not a no-op in IEEE: x + 0.0 flips -0.0 to
-// +0.0, so skips must match).
+/// stored once, instead of a load and a store per reduction term. One block
+/// holds a whole MLP hidden layer (h = 16); single columns take the rest of
+/// any other width.
+constexpr std::size_t kColBlock = 16;
 
 /// crow[0..W) += sum over ascending kk of arow[kk] * (row kk of B)[0..W),
-/// skipping each kk whose A entry is an exact zero.
+/// skipping each kk whose A entry is an exact zero — the scalar reference's
+/// skip-set (a skipped term is not a no-op in IEEE: -0.0 + 0.0 is +0.0).
 template <std::size_t W>
 void gemm_cols(std::size_t k, const double* arow, const double* b,
                std::size_t ldb, double* crow) {
@@ -36,10 +34,7 @@ void gemm_cols(std::size_t k, const double* arow, const double* b,
 }
 
 /// crow[0..W) += sum over ascending samples i of acol_i * (row i of B)[0..W),
-/// skipping each term whose B factor is an exact zero. The skip is a select
-/// of the addend: a skipped term adds -0.0, the exact identity of IEEE
-/// addition (x + -0.0 == x bit for bit, x = -0.0 included), where adding the
-/// +-0.0 product would turn a -0.0 accumulator into +0.0.
+/// every term added: no skip, so no data-dependent branch in the loop.
 template <std::size_t W>
 void gemm_at_cols(std::size_t m, const double* acol, std::size_t lda,
                   const double* b, std::size_t ldb, double* crow) {
@@ -48,12 +43,7 @@ void gemm_at_cols(std::size_t m, const double* acol, std::size_t lda,
   for (std::size_t i = 0; i < m; ++i) {
     const double ai = acol[i * lda];
     const double* brow = b + i * ldb;
-    for (std::size_t r = 0; r < W; ++r) {
-      const double bij = brow[r];
-      // The exact-zero skip-set of the reference loop.
-      // vmincqr-lint: allow(float-equality)
-      acc[r] += bij == 0.0 ? -0.0 : ai * bij;
-    }
+    for (std::size_t r = 0; r < W; ++r) acc[r] += ai * brow[r];
   }
   for (std::size_t r = 0; r < W; ++r) crow[r] = acc[r];
 }
@@ -77,9 +67,7 @@ void gemm(std::size_t m, std::size_t k, std::size_t n, const double* a,
 void gemm_at(std::size_t m, std::size_t k, std::size_t n, const double* a,
              std::size_t lda, const double* b, std::size_t ldb, double* c,
              std::size_t ldc) {
-  // c(kk, j) accumulates over samples i in ascending order, skipping terms
-  // whose B factor is exactly zero — the order and skip-set of the scalar
-  // gradient loops this replaces (MLP backward skips dh == 0 samples).
+  // c(kk, j) accumulates over samples i in ascending order.
   for (std::size_t kk = 0; kk < k; ++kk) {
     double* crow = c + kk * ldc;
     std::size_t j = 0;

@@ -4,10 +4,11 @@
 // Blocking only changes WHICH loads are shared between output elements and
 // where a partial sum lives (a register instead of memory), never the
 // per-element floating-point summation order: out(i, j) still accumulates
-// its terms in ascending order from the caller's initial value, with the
-// same exact-zero skips, exactly like the scalar loops these kernels
-// replaced. Results are bit-identical to that reference and thread-count
-// invariant, at fit time and at serve time alike.
+// its terms in ascending order from the caller's initial value, exactly like
+// the scalar loop each kernel documents as its reference (gemm's keeps an
+// exact-zero skip; gemm_at's adds every term). Results are bit-identical to
+// that reference and thread-count invariant, at fit time and at serve time
+// alike.
 #pragma once
 
 #include <cstddef>
@@ -28,8 +29,14 @@ void gemm(std::size_t m, std::size_t k, std::size_t n, const double* a,
 
 /// C(k x n, ldc) += A(m x k, lda)^T * B(m x n, ldb) — the gradient-side
 /// kernel (accumulating X^T * dL without materializing the transpose). Per
-/// output element the m-terms accumulate in ascending m, skipping the terms
-/// whose B factor is an exact zero.
+/// output element the m-terms accumulate in ascending m, every term added.
+///
+/// Precondition: C holds no -0.0 and A is finite. Then the result also
+/// equals the loop that skips each term whose B factor is an exact zero, bit
+/// for bit: a finite a times +-0.0 is +-0.0; in round-to-nearest a sum is
+/// -0.0 only when both addends are, so an accumulator that starts without
+/// -0.0 never holds it; and adding +-0.0 to any other value returns that
+/// value unchanged.
 void gemm_at(std::size_t m, std::size_t k, std::size_t n, const double* a,
              std::size_t lda, const double* b, std::size_t ldb, double* c,
              std::size_t ldc);

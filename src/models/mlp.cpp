@@ -5,6 +5,7 @@
 #include <stdexcept>
 #include <utility>
 
+#include "core/contracts.hpp"
 #include "linalg/kernels.hpp"
 #include "parallel/parallel_for.hpp"
 
@@ -70,10 +71,18 @@ MlpRegressor::MlpRegressor(MlpConfig config) : config_(config) {
 
 void MlpRegressor::fit(const Matrix& x, const Vector& y) {
   check_fit_args(x, y);
-  n_features_ = x.cols();
-  const Matrix xs = scaler_.fit_transform(x);
-  label_scaler_.fit(y);
-  const Vector ys = label_scaler_.transform(y);
+  // The scalers fit into locals, so a rejected fit leaves the model as it was.
+  data::StandardScaler scaler;
+  const Matrix xs = scaler.fit_transform(x);
+  data::LabelScaler label_scaler;
+  label_scaler.fit(y);
+  const Vector ys = label_scaler.transform(y);
+  // Always on, and on what the epoch reads: its gemm_at needs a finite
+  // design, and a NaN label would train a NaN model. A non-finite entry
+  // makes its whole standardised column non-finite, and so does a finite
+  // column whose moments overflow the double range.
+  VMINCQR_REQUIRE(core::all_finite(xs.data()) && core::all_finite(ys),
+                  "MlpRegressor::fit: non-finite standardised input");
 
   const std::size_t n = xs.rows();
   const std::size_t d = xs.cols();
@@ -141,20 +150,20 @@ void MlpRegressor::fit(const Matrix& x, const Vector& y) {
             }
 
             // Backward (dense layers); gw1 is deferred to the gemm_at below.
+            // A dead unit's dh is +-0.0, and adding it to gb1[j] changes no
+            // bit: gb1 starts at +0.0 and so never holds -0.0 (see gemm_at).
             const double dl = config_.loss.gradient(ys[i], out) * inv_n;
             *gb2 += dl;
             for (std::size_t j = 0; j < h; ++j) {
               gw2[j] += dl * zr[j];
               const double dh = zr[j] > 0.0 ? dl * w2[j] : 0.0;
               dhm[r * h + j] = dh;
-              // ReLU mask zeroes dh exactly; skipping dead units is lossless.
-              if (dh == 0.0) continue;  // vmincqr-lint: allow(float-equality)
               gb1[j] += dh;
             }
           }
-          // gw1 += X_chunk^T * DH. The kernel walks samples in ascending
-          // order per (k, j) element and skips dh == 0 terms, reproducing the
-          // old `if (dh == 0.0) continue` inner loop bit for bit.
+          // gw1 += X_chunk^T * DH, each (k, j) element over ascending
+          // samples. gw1 starts at +0.0 and xs is finite (checked above), so
+          // this equals skipping the dh == 0 terms, bit for bit.
           linalg::gemm_at(rows, d, h, xs.row_ptr(begin), d, dhm, h, gw1, h);
         },
         /*use_pool=*/n >= 2 * kMlpGrain);
@@ -177,7 +186,10 @@ void MlpRegressor::fit(const Matrix& x, const Vector& y) {
     adam.step(params, grads, config_.learning_rate);
   }
 
-  // Persist parameters.
+  // Persist the scalers and parameters.
+  scaler_ = std::move(scaler);
+  label_scaler_ = std::move(label_scaler);
+  n_features_ = d;
   w1_ = Matrix(d, h);
   for (std::size_t k = 0; k < d; ++k) {
     for (std::size_t j = 0; j < h; ++j) w1_(k, j) = w1[k * h + j];

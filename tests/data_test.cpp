@@ -2,7 +2,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <limits>
 #include <set>
+#include <utility>
+#include <vector>
 
 #include "data/dataset.hpp"
 #include "data/feature_select.hpp"
@@ -264,6 +268,121 @@ TEST(Cfs, TopCorrelatedRanksBySignal) {
   ASSERT_EQ(top.size(), 2u);
   EXPECT_EQ(top[0], 1u);
   EXPECT_EQ(top[1], 2u);
+}
+
+/// Per-round greedy CFS: each round copies every unused column and
+/// correlates it with every selected column through stats::pearson. The
+/// bit-exactness reference for cfs_select.
+std::vector<std::size_t> cfs_select_reference(const Matrix& x, const Vector& y,
+                                              std::size_t max_features) {
+  if (x.empty() || max_features == 0) return {};
+  const std::size_t budget = std::min<std::size_t>(max_features, x.cols());
+  std::vector<double> rcf(x.cols());
+  for (std::size_t j = 0; j < x.cols(); ++j) {
+    rcf[j] = std::abs(stats::pearson(x.col(j), y));
+  }
+  std::vector<std::size_t> selected;
+  std::vector<bool> used(x.cols(), false);
+  std::size_t best0 = 0;
+  for (std::size_t j = 1; j < x.cols(); ++j) {
+    if (rcf[j] > rcf[best0]) best0 = j;
+  }
+  selected.push_back(best0);
+  used[best0] = true;
+  double sum_rcf = rcf[best0];
+  double sum_rff = 0.0;
+  std::vector<Vector> selected_cols = {x.col(best0)};
+  while (selected.size() < budget) {
+    double best_merit = -1.0;
+    std::size_t best_j = x.cols();
+    double best_add_rff = 0.0;
+    for (std::size_t j = 0; j < x.cols(); ++j) {
+      if (used[j]) continue;
+      const Vector cj = x.col(j);
+      double add_rff = 0.0;
+      for (const auto& cs : selected_cols) {
+        add_rff += std::abs(stats::pearson(cj, cs));
+      }
+      const auto k = static_cast<double>(selected.size() + 1);
+      const double mean_rcf = (sum_rcf + rcf[j]) / k;
+      const double pairs = k * (k - 1.0) / 2.0;
+      const double mean_rff = pairs > 0.0 ? (sum_rff + add_rff) / pairs : 0.0;
+      const double denom = std::sqrt(k + k * (k - 1.0) * mean_rff);
+      const double merit = denom > 0.0 ? k * mean_rcf / denom : 0.0;
+      if (merit > best_merit) {
+        best_merit = merit;
+        best_j = j;
+        best_add_rff = add_rff;
+      }
+    }
+    if (best_j == x.cols()) break;
+    used[best_j] = true;
+    selected.push_back(best_j);
+    selected_cols.push_back(x.col(best_j));
+    sum_rcf += rcf[best_j];
+    sum_rff += best_add_rff;
+  }
+  return selected;
+}
+
+/// A random n x d design (d >= 4) whose label follows column 0 and, from
+/// d = 8, column d/2, with the cases the greedy argmax must order exactly:
+/// column d-1 duplicates column 0 and column d/2-1 duplicates column d/2
+/// (their merits tie, so the lower index must win), columns 1, 26, 51, ...
+/// are constant (r = 0 with everything), and column d-2 holds a NaN (a
+/// non-finite denominator, so r = 0 too).
+std::pair<Matrix, Vector> cfs_edge_design(std::size_t n, std::size_t d,
+                                          std::uint64_t seed) {
+  rng::Rng rng(seed);
+  Matrix x(n, d);
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t j = 0; j < d; ++j) x(i, j) = rng.normal();
+  }
+  const std::size_t b = d / 2;
+  Vector y(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    y[i] = x(i, 0) + (d >= 8 ? 0.7 * x(i, b) : 0.0) + 0.5 * rng.normal();
+    x(i, d - 1) = x(i, 0);
+    if (d >= 8) x(i, b - 1) = x(i, b);
+    for (std::size_t j = 1; j < d - 2; j += 25) x(i, j) = 0.25 * (j % 7);
+  }
+  x(n / 2, d - 2) = std::numeric_limits<double>::quiet_NaN();
+  return {std::move(x), std::move(y)};
+}
+
+TEST(Cfs, SelectMatchesPerRoundPearsonReference) {
+  // cfs_select must pick exactly the columns the per-round pearson loop
+  // picks, in the same order, ties and degenerate columns included. k = d
+  // runs only where the reference's O(k^2 d n) cost stays small; at
+  // d = 2868 it would take hours.
+  const std::vector<std::pair<std::size_t, std::size_t>> shapes = {
+      {6, 4}, {40, 300}, {117, 2868}};
+  for (std::size_t s = 0; s < shapes.size(); ++s) {
+    const auto [n, d] = shapes[s];
+    const auto [x, y] = cfs_edge_design(n, d, 40 + s);
+    std::vector<std::size_t> budgets = {1, 8, 10};
+    if (d <= 300) budgets.push_back(d);
+    for (const std::size_t k : budgets) {
+      EXPECT_EQ(cfs_select(x, y, k), cfs_select_reference(x, y, k))
+          << n << "x" << d << " k=" << k;
+    }
+
+    std::vector<std::pair<double, std::size_t>> scored;
+    for (std::size_t j = 0; j < d; ++j) {
+      scored.emplace_back(std::abs(stats::pearson(x.col(j), y)), j);
+    }
+    std::stable_sort(
+        scored.begin(), scored.end(),
+        [](const auto& a, const auto& b) { return a.first > b.first; });
+    std::vector<std::size_t> ranked;
+    for (const auto& entry : scored) ranked.push_back(entry.second);
+    for (const std::size_t k : budgets) {
+      const std::vector<std::size_t> want(
+          ranked.begin(), ranked.begin() + static_cast<std::ptrdiff_t>(
+                                               std::min(k, ranked.size())));
+      EXPECT_EQ(top_correlated(x, y, k), want) << n << "x" << d << " k=" << k;
+    }
+  }
 }
 
 TEST(Cfs, EmptyAndBounds) {

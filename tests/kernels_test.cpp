@@ -47,15 +47,17 @@ void expect_same_bits(const std::vector<double>& got,
   }
 }
 
-/// (m, k, n) shapes: the column counts straddle the kernels' 4-wide column
-/// block, k = 0 leaves C as the caller initialised it, and the fixed shapes
-/// include the MLP's full 32-row chunk at d = 32, h = 16.
+/// (m, k, n) shapes: the column counts straddle the kernels' 16-wide column
+/// block (n < 16 runs single columns only, 16 is one block, 17 a block and
+/// a single column, 33 two blocks and a single column), k = 0 leaves C as
+/// the caller initialised it, and the fixed shapes include the MLP's full
+/// 32-row chunk at d = 32, h = 16.
 std::vector<std::array<std::size_t, 3>> kernel_shapes() {
   std::vector<std::array<std::size_t, 3>> shapes = {
       {3, 5, 4}, {7, 13, 9}, {8, 16, 16}, {17, 4, 1}, {32, 32, 16}};
   for (const std::size_t m : {1, 5, 33}) {
     for (const std::size_t k : {0, 1, 7}) {
-      for (const std::size_t n : {1, 3, 4, 5, 8, 16, 17}) {
+      for (const std::size_t n : {1, 3, 4, 5, 8, 16, 17, 33}) {
         shapes.push_back({m, k, n});
       }
     }
@@ -119,8 +121,31 @@ TEST(KernelsExact, GemmAtMatchesScalarReferenceBitwise) {
     for (std::size_t i = 0; i < m; ++i) {
       for (std::size_t kk = 0; kk < k; ++kk) {
         for (std::size_t j = 0; j < n; ++j) {
+          c_ref[kk * n + j] += a[i * k + kk] * b[i * n + j];  // every term
+        }
+      }
+    }
+    linalg::gemm_at(m, k, n, a.data(), k, b.data(), n, c_kernel.data(), n);
+    expect_same_bits(c_kernel, c_ref, shape_name(m, k, n));
+  }
+}
+
+TEST(KernelsExact, GemmAtSkipSetIsIdentityWithoutNegativeZero) {
+  // Under gemm_at's precondition (C holds no -0.0, A finite) adding the
+  // +-0.0 terms of B's exact zeros changes no bit, so the kernel equals the
+  // loop that skips them.
+  rng::Rng rng(15);
+  for (const auto& [m, k, n] : kernel_shapes()) {
+    const auto a = random_with_zeros(m * k, rng);
+    const auto b = random_with_zeros(m * n, rng);
+    auto c_ref = random_with_zeros(k * n, rng);
+    for (double& v : c_ref) v = v == 0.0 ? 0.0 : v;  // -0.0 becomes +0.0
+    auto c_kernel = c_ref;
+    for (std::size_t i = 0; i < m; ++i) {
+      for (std::size_t kk = 0; kk < k; ++kk) {
+        for (std::size_t j = 0; j < n; ++j) {
           const double bij = b[i * n + j];
-          if (bij == 0.0) continue;  // the reference skip-set (MLP dh == 0)
+          if (bij == 0.0) continue;  // the skip-set
           c_ref[kk * n + j] += a[i * k + kk] * bij;
         }
       }

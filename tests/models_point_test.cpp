@@ -2,7 +2,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 
+#include "core/contracts.hpp"
 #include "models/factory.hpp"
 #include "models/gp.hpp"
 #include "models/linear.hpp"
@@ -304,6 +306,53 @@ TEST(Mlp, ValidatesConfig) {
   MlpConfig bad2;
   bad2.epochs = 0;
   EXPECT_THROW(MlpRegressor{bad2}, std::invalid_argument);
+}
+
+TEST(Mlp, FitRejectsNonFiniteInputsInEveryBuildType) {
+  // The training epoch's gemm_at needs a finite design, so fit refuses a
+  // NaN or infinite feature or label in plain Release too, not only where
+  // the contract tier's finite scans are compiled in.
+  const auto clean = make_linear_problem(40, 0.1, 14);
+  MlpConfig config;
+  config.epochs = 5;
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const double bad :
+       {std::numeric_limits<double>::quiet_NaN(), inf, -inf}) {
+    for (const bool in_label : {true, false}) {
+      LinearProblem poisoned = clean;
+      (in_label ? poisoned.y[17] : poisoned.x(17, 1)) = bad;
+      MlpRegressor mlp(config);
+      EXPECT_THROW(mlp.fit(poisoned.x, poisoned.y), core::contract_violation)
+          << bad << (in_label ? " in the label" : " in a feature");
+      EXPECT_FALSE(mlp.fitted());
+    }
+  }
+
+  // Finite values near the double range overflow the scalers' sums, so the
+  // standardised column is NaN although every input is finite.
+  rng::Rng rng(15);
+  for (const bool in_label : {true, false}) {
+    LinearProblem huge = clean;
+    for (std::size_t i = 0; i < huge.y.size(); ++i) {
+      (in_label ? huge.y[i] : huge.x(i, 1)) = rng.uniform(5e307, 1e308);
+    }
+    MlpRegressor mlp(config);
+    EXPECT_THROW(mlp.fit(huge.x, huge.y), core::contract_violation)
+        << (in_label ? "overflowing label" : "overflowing feature");
+    EXPECT_FALSE(mlp.fitted());
+  }
+
+  // A rejected refit keeps the earlier fit: same predictions, bit for bit.
+  MlpRegressor mlp(config);
+  mlp.fit(clean.x, clean.y);
+  const Vector before = mlp.predict(clean.x);
+  LinearProblem poisoned = clean;
+  poisoned.x(17, 1) = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_THROW(mlp.fit(poisoned.x, poisoned.y), core::contract_violation);
+  const Vector after = mlp.predict(clean.x);
+  for (std::size_t i = 0; i < before.size(); ++i) {
+    EXPECT_EQ(before[i], after[i]) << i;
+  }
 }
 
 TEST(Factory, NamesAndZoos) {
