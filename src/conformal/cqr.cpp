@@ -50,6 +50,9 @@ void ConformalizedQuantileRegressor::fit_with_split(const Matrix& x_train,
                       "ConformalizedQuantileRegressor: calibration shape "
                       "mismatch");
   VMINCQR_CHECK_FINITE(y_calib, "calibrate: calibration labels");
+  // Cleared first, so a fit that throws below leaves no half-replaced state
+  // that predict_interval would read.
+  calibrated_ = false;
   base_->fit(x_train, y_train);
   const IntervalPrediction band = base_->predict_interval(x_calib);
   if (config_.mode == CqrMode::kSymmetric) {

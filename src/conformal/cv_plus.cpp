@@ -30,6 +30,9 @@ void CvPlusRegressor::fit(const Matrix& x, const Vector& y) {
   rng::Rng rng(config_.seed);
   const auto folds = data::k_fold(x.rows(), config_.n_folds, rng);
 
+  // Cleared first, so a fit that throws below leaves no half-replaced state
+  // that predict_interval would read.
+  calibrated_ = false;
   fold_models_.clear();
   fold_models_.resize(folds.size());
   fold_of_sample_.assign(x.rows(), 0);
@@ -59,6 +62,10 @@ void CvPlusRegressor::fit(const Matrix& x, const Vector& y) {
       fold_models_[k] = std::move(model);
     }
   });
+  // Always on: CV+ ranks mu +- residual itself rather than through
+  // stats::conformal_quantile, and std::sort has no valid order with a NaN.
+  VMINCQR_REQUIRE(core::all_finite(residuals_),
+                  "CvPlusRegressor::fit: non-finite residual");
   calibrated_ = true;
 }
 

@@ -31,6 +31,9 @@ void MondrianCqr::fit(const Matrix& x, const Vector& y) {
   VMINCQR_CHECK_FINITE(y, "fit: label vector y");
   const data::RowSplit split = data::split_rows(
       x, y, config_.split.train_fraction, config_.split.seed);
+  // Cleared first, so a fit that throws below leaves no half-replaced state
+  // that predict_interval would read.
+  calibrated_ = false;
   base_->fit(split.x_train, split.y_train);
 
   const IntervalPrediction band = base_->predict_interval(split.x_calib);

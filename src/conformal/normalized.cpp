@@ -32,6 +32,9 @@ void NormalizedConformalRegressor::fit(const Matrix& x, const Vector& y) {
   VMINCQR_CHECK_FINITE(y, "fit: label vector y");
   const data::RowSplit split = data::split_rows(
       x, y, config_.split.train_fraction, config_.split.seed);
+  // Cleared first, so a fit that throws below leaves no half-replaced state
+  // that predict_interval would read.
+  calibrated_ = false;
   mean_model_->fit(split.x_train, split.y_train);
 
   // Difficulty model: absolute residuals of the mean model on its own

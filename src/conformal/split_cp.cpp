@@ -44,6 +44,9 @@ void SplitConformalRegressor::fit_with_split(const Matrix& x_train,
   VMINCQR_CHECK_SHAPE(x_calib.rows() == y_calib.size(),
                       "SplitConformalRegressor: calibration shape mismatch");
   VMINCQR_CHECK_FINITE(y_calib, "calibrate: calibration labels");
+  // Cleared first, so a fit that throws below leaves no half-replaced state
+  // that predict_interval would read.
+  calibrated_ = false;
   model_->fit(x_train, y_train);
   const Vector y_hat = model_->predict(x_calib);
   const auto scores = absolute_residual_scores(y_calib, y_hat);

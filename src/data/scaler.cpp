@@ -11,8 +11,8 @@ namespace vmincqr::data {
 
 void StandardScaler::fit(const Matrix& x) {
   if (x.empty()) throw std::invalid_argument("StandardScaler::fit: empty");
-  means_.assign(x.cols(), 0.0);
-  scales_.assign(x.cols(), 1.0);
+  Vector means(x.cols(), 0.0);
+  Vector scales(x.cols(), 1.0);
   const auto n = static_cast<double>(x.rows());
   VMINCQR_AUDIT(n > 0.0, "StandardScaler::fit: empty() check let 0 rows by");
   for (std::size_t c = 0; c < x.cols(); ++c) {
@@ -24,10 +24,18 @@ void StandardScaler::fit(const Matrix& x) {
       var += (x(r, c) - m) * (x(r, c) - m);
     }
     var /= n;
-    means_[c] = m;
+    means[c] = m;
     const double sd = std::sqrt(var);
-    scales_[c] = sd > 1e-300 ? sd : 1.0;
+    scales[c] = sd > 1e-300 ? sd : 1.0;
   }
+  // Always on: a non-finite entry, or a finite column whose sums overflow
+  // the double range, leaves a moment that would turn the column into NaN.
+  // The moments commit only after the check, so a rejected fit keeps the
+  // scaler as it was.
+  VMINCQR_REQUIRE(core::all_finite(means) && core::all_finite(scales),
+                  "StandardScaler::fit: non-finite column moments");
+  means_ = std::move(means);
+  scales_ = std::move(scales);
   fitted_ = true;
 }
 
@@ -93,9 +101,14 @@ void StandardScaler::import_params(ScalerParams params) {
 
 void LabelScaler::fit(const Vector& y) {
   if (y.empty()) throw std::invalid_argument("LabelScaler::fit: empty");
-  mean_ = stats::mean(y);
+  const double mean = stats::mean(y);
   const double sd = stats::stddev(y);
-  scale_ = sd > 1e-300 ? sd : 1.0;
+  const double scale = sd > 1e-300 ? sd : 1.0;
+  // Always on, committed after the check, as in StandardScaler::fit.
+  VMINCQR_REQUIRE(std::isfinite(mean) && std::isfinite(scale),
+                  "LabelScaler::fit: non-finite label moments");
+  mean_ = mean;
+  scale_ = scale;
   fitted_ = true;
 }
 

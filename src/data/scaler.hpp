@@ -28,7 +28,9 @@ struct LabelScalerParams {
 class StandardScaler {
  public:
   /// Learns per-column mean and standard deviation.
-  /// Throws std::invalid_argument on an empty matrix.
+  /// Throws std::invalid_argument on an empty matrix, and a "precondition"
+  /// core::contract_violation (in every build type, leaving the scaler as it
+  /// was) when a mean or scale is not finite.
   void fit(const Matrix& x);
 
   /// Applies the learned transform. Throws std::logic_error if not fitted,
@@ -62,6 +64,8 @@ class StandardScaler {
 /// outputs can be mapped back to volts.
 class LabelScaler {
  public:
+  /// Throws as StandardScaler::fit does: on an empty vector, and on a mean
+  /// or scale that is not finite.
   void fit(const Vector& y);
   [[nodiscard]] Vector transform(const Vector& y) const;
   [[nodiscard]] Vector inverse_transform(const Vector& y) const;

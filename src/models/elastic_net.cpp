@@ -35,6 +35,9 @@ ElasticNetRegressor::ElasticNetRegressor(ElasticNetConfig config)
 
 void ElasticNetRegressor::fit(const Matrix& x, const Vector& y) {
   check_fit_args(x, y);
+  // Cleared first, so a fit that throws below leaves no half-replaced state
+  // that predict would read.
+  fitted_ = false;
   n_features_ = x.cols();
   const Matrix xs = scaler_.fit_transform(x);
   label_scaler_.fit(y);

@@ -100,6 +100,9 @@ double GaussianProcessRegressor::compute_lml(const Matrix& k, const Vector& ys,
 
 void GaussianProcessRegressor::fit(const Matrix& x, const Vector& y) {
   check_fit_args(x, y);
+  // Cleared first, so a fit that throws below leaves no half-replaced state
+  // that predict would read.
+  fitted_ = false;
   n_features_ = x.cols();
   x_train_ = scaler_.fit_transform(x);
   label_scaler_.fit(y);

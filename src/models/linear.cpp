@@ -19,6 +19,9 @@ LinearRegressor::LinearRegressor(LinearConfig config) : config_(config) {
 
 void LinearRegressor::fit(const Matrix& x, const Vector& y) {
   check_fit_args(x, y);
+  // Cleared first, so a fit that throws below leaves no half-replaced state
+  // that predict would read.
+  fitted_ = false;
   n_features_ = x.cols();
   Matrix xs = scaler_.fit_transform(x);
   label_scaler_.fit(y);

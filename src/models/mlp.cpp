@@ -5,7 +5,6 @@
 #include <stdexcept>
 #include <utility>
 
-#include "core/contracts.hpp"
 #include "linalg/kernels.hpp"
 #include "parallel/parallel_for.hpp"
 
@@ -72,17 +71,13 @@ MlpRegressor::MlpRegressor(MlpConfig config) : config_(config) {
 void MlpRegressor::fit(const Matrix& x, const Vector& y) {
   check_fit_args(x, y);
   // The scalers fit into locals, so a rejected fit leaves the model as it was.
+  // They refuse a non-finite mean or scale, so xs and ys are finite, as the
+  // epoch's gemm_at requires.
   data::StandardScaler scaler;
   const Matrix xs = scaler.fit_transform(x);
   data::LabelScaler label_scaler;
   label_scaler.fit(y);
   const Vector ys = label_scaler.transform(y);
-  // Always on, and on what the epoch reads: its gemm_at needs a finite
-  // design, and a NaN label would train a NaN model. A non-finite entry
-  // makes its whole standardised column non-finite, and so does a finite
-  // column whose moments overflow the double range.
-  VMINCQR_REQUIRE(core::all_finite(xs.data()) && core::all_finite(ys),
-                  "MlpRegressor::fit: non-finite standardised input");
 
   const std::size_t n = xs.rows();
   const std::size_t d = xs.cols();

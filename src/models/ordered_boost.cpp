@@ -29,55 +29,85 @@ constexpr std::size_t kMinParallelSplitWork = 4096;
 /// Batch size below which predict stays single-shard (matches gbt.cpp).
 constexpr std::size_t kMinParallelRows = 256;
 
-/// Oblivious level search. Row i lies left of border b of feature f
-/// iff its code is <= b (the binner invariant bin_of(f, v) <= b <=> v <=
-/// edges(f)[b]), so one ascending pass over the rows adds each row's
-/// (grad, hess) to its partition's sums for every border b >= its code. Each
-/// (border, partition) sum thus receives exactly the rows a thresholded
-/// `x(i, f) <= border` scan adds, in the same order: the same sums, scores
-/// and winner, bit for bit, without a branch on x.
+/// What the level search's feature chunks read; they share it read-only.
+struct LevelInputs {
+  const FeatureBinner& binner;
+  const std::vector<std::uint16_t>& codes;
+  std::size_t n;
+  std::size_t d;
+  const Vector& grad;
+  const Vector& hess;
+  const std::vector<std::size_t>& leaf_of;
+  const std::vector<double>& g_tot;
+  const std::vector<double>& h_tot;
+  double l2;
+};
+
+/// One feature chunk of the oblivious level search. Row i lies left of
+/// border b of feature f iff its code is <= b (the binner invariant
+/// bin_of(f, v) <= b <=> v <= edges(f)[b]), so one ascending pass over the
+/// rows adds each row's (grad, hess) to its partition's sums for every border
+/// b >= its code. Each (border, partition) sum thus receives exactly the rows
+/// a thresholded `x(i, f) <= border` scan adds, in the same order: the same
+/// sums, scores and winner, bit for bit, without a branch on x.
+///
+/// Kept out of line and started on a 64-byte boundary, so its speed does not
+/// hang on how far edits to objects linked before this one shift it: its
+/// short, data-dependent inner loop ran about 20 % slower at one code offset
+/// than at another.
+#if defined(__GNUC__) && !defined(__clang__)
+__attribute__((noinline, aligned(64)))
+#endif
+LevelCandidate search_features(const LevelInputs& in, std::size_t f_begin,
+                               std::size_t f_end) {
+  const std::size_t parts = in.g_tot.size();
+  LevelCandidate local;
+  // (partition, border) -> interleaved (g, h) left sums.
+  std::vector<double> left_sums;
+  for (std::size_t f = f_begin; f < f_end; ++f) {
+    const std::vector<double>& edges = in.binner.edges(f);
+    const std::size_t borders = edges.size();
+    if (borders == 0) continue;  // constant feature
+    left_sums.assign(2 * parts * borders, 0.0);
+    for (std::size_t i = 0; i < in.n; ++i) {
+      double* sums = left_sums.data() + 2 * borders * in.leaf_of[i];
+      const double g = in.grad[i], h = in.hess[i];
+      for (std::size_t b = in.codes[i * in.d + f]; b < borders; ++b) {
+        sums[2 * b] += g;
+        sums[2 * b + 1] += h;
+      }
+    }
+    for (std::size_t b = 0; b < borders; ++b) {
+      double score = 0.0;
+      for (std::size_t p = 0; p < parts; ++p) {
+        const double* sums = left_sums.data() + 2 * (p * borders + b);
+        const double gl = sums[0], hl = sums[1];
+        const double gr = in.g_tot[p] - gl, hr = in.h_tot[p] - hl;
+        score += gl * gl / (hl + in.l2) + gr * gr / (hr + in.l2);
+      }
+      if (score > local.score) {
+        local.score = score;
+        local.feature = f;
+        local.threshold = edges[b];
+        local.found = true;
+      }
+    }
+  }
+  return local;
+}
+
+/// Oblivious level search over all d features, one chunk per feature.
 LevelCandidate search_level(
     const FeatureBinner& binner, const std::vector<std::uint16_t>& codes,
     std::size_t n, std::size_t d, const Vector& grad, const Vector& hess,
     const std::vector<std::size_t>& leaf_of, const std::vector<double>& g_tot,
     const std::vector<double>& h_tot, double l2, bool use_pool) {
-  const std::size_t parts = g_tot.size();
+  const LevelInputs in{binner, codes, n, d, grad, hess, leaf_of, g_tot, h_tot,
+                       l2};
   return parallel::parallel_deterministic_reduce(
       d, /*grain=*/1, LevelCandidate{},
       [&](std::size_t f_begin, std::size_t f_end) {
-        LevelCandidate local;
-        // (partition, border) -> interleaved (g, h) left sums.
-        std::vector<double> left_sums;
-        for (std::size_t f = f_begin; f < f_end; ++f) {
-          const std::vector<double>& edges = binner.edges(f);
-          const std::size_t borders = edges.size();
-          if (borders == 0) continue;  // constant feature
-          left_sums.assign(2 * parts * borders, 0.0);
-          for (std::size_t i = 0; i < n; ++i) {
-            double* sums = left_sums.data() + 2 * borders * leaf_of[i];
-            const double g = grad[i], h = hess[i];
-            for (std::size_t b = codes[i * d + f]; b < borders; ++b) {
-              sums[2 * b] += g;
-              sums[2 * b + 1] += h;
-            }
-          }
-          for (std::size_t b = 0; b < borders; ++b) {
-            double score = 0.0;
-            for (std::size_t p = 0; p < parts; ++p) {
-              const double* sums = left_sums.data() + 2 * (p * borders + b);
-              const double gl = sums[0], hl = sums[1];
-              const double gr = g_tot[p] - gl, hr = h_tot[p] - hl;
-              score += gl * gl / (hl + l2) + gr * gr / (hr + l2);
-            }
-            if (score > local.score) {
-              local.score = score;
-              local.feature = f;
-              local.threshold = edges[b];
-              local.found = true;
-            }
-          }
-        }
-        return local;
+        return search_features(in, f_begin, f_end);
       },
       [](LevelCandidate acc, LevelCandidate part) {
         return part.score > acc.score ? part : acc;

@@ -6,6 +6,7 @@
 #include <utility>
 
 #include "core/contracts.hpp"
+#include "parallel/parallel_for.hpp"
 #include "stats/distributions.hpp"
 
 namespace vmincqr::models {
@@ -59,8 +60,12 @@ void QuantilePairRegressor::fit(const Matrix& x, const Vector& y) {
                   "QuantilePairRegressor::fit: empty training set");
   VMINCQR_CHECK_SHAPE(x.rows() == y.size(),
                       "QuantilePairRegressor::fit: rows/labels mismatch");
-  lower_->fit(x, y);
-  upper_->fit(x, y);
+  // Eq. (5)'s two models train independently: outside a pool they take lanes
+  // 0 and 1, and every parallel loop inside each model then runs inline.
+  parallel::for_each_chunk(2, /*grain=*/1,
+                           [&](std::size_t chunk, std::size_t, std::size_t) {
+                             (chunk == 0 ? *lower_ : *upper_).fit(x, y);
+                           });
 }
 
 IntervalPrediction QuantilePairRegressor::predict_interval(

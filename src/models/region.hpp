@@ -39,6 +39,12 @@ class GpIntervalRegressor final : public IntervalRegressor {
 /// Quantile-regression interval: lower model at q = alpha/2, upper at
 /// q = 1 - alpha/2. Bound crossings (possible with independently trained
 /// models) are repaired by elementwise swap.
+///
+/// fit() trains the two models as the two chunks of one pool grid, so
+/// outside a pool they run concurrently and must share no mutable state;
+/// every model in models/ owns its state. Inside a pool task they run
+/// inline, lower then upper. Either way each model computes the same bits,
+/// and when both throw the lower model's exception surfaces.
 class QuantilePairRegressor final : public IntervalRegressor {
  public:
   /// The prototypes must already be configured with pinball losses at the

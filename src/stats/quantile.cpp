@@ -5,6 +5,8 @@
 #include <limits>
 #include <stdexcept>
 
+#include "core/contracts.hpp"
+
 namespace vmincqr::stats {
 
 double quantile_linear(std::vector<double> values, double q) {
@@ -39,6 +41,10 @@ double conformal_quantile(std::vector<double> scores,
   if (scores.empty()) {
     throw std::invalid_argument("conformal_quantile: empty calibration set");
   }
+  // Always on: std::sort has no valid order with a NaN in it, so q-hat would
+  // depend on where the NaN sat. An O(m) scan next to the O(m log m) sort.
+  VMINCQR_REQUIRE(core::all_finite(scores),
+                  "conformal_quantile: non-finite conformity score");
   const auto m = scores.size();
   const double target =
       std::ceil((static_cast<double>(m) + 1.0) * (1.0 - alpha));

@@ -24,8 +24,10 @@ double quantile_higher(std::vector<double> values, double q);
 /// When ceil((M+1)(1-alpha)) > M (calibration set too small for the target
 /// coverage) the interval must be infinite to retain the guarantee; this
 /// function then returns +infinity.
-/// Throws std::invalid_argument if scores is empty; alpha validity is
-/// guaranteed by core::MiscoverageAlpha construction.
+/// Throws std::invalid_argument if scores is empty, and a "precondition"
+/// core::contract_violation in every build type if a score is NaN or
+/// infinite; alpha validity is guaranteed by core::MiscoverageAlpha
+/// construction.
 double conformal_quantile(std::vector<double> scores,
                           core::MiscoverageAlpha alpha);
 

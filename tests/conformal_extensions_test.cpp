@@ -1,13 +1,22 @@
 // Tests for the conformal extensions: Mondrian (group-conditional) CQR,
-// normalized (locally-weighted) CP, and CV+ (cross-conformal).
+// normalized (locally-weighted) CP, and CV+ (cross-conformal), plus how
+// every calibrator, split CP and CQR included, handles a rejected refit.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
+#include <memory>
+#include <string>
+#include <vector>
 
+#include "conformal/cqr.hpp"
 #include "conformal/cv_plus.hpp"
 #include "conformal/mondrian.hpp"
 #include "conformal/normalized.hpp"
+#include "conformal/split_cp.hpp"
+#include "core/contracts.hpp"
 #include "models/factory.hpp"
+#include "models/region.hpp"
 #include "rng/rng.hpp"
 #include "stats/metrics.hpp"
 
@@ -168,6 +177,82 @@ TEST(CvPlus, UsesAllTrainingResiduals) {
   const auto band = cvp.predict_interval(p.x.take_rows({0, 1}));
   EXPECT_EQ(band.lower.size(), 2u);
   for (std::size_t i = 0; i < 2; ++i) EXPECT_LE(band.lower[i], band.upper[i]);
+}
+
+/// Predicts, for every row, whatever `*value` holds when predict runs.
+class ConstantRegressor final : public models::Regressor {
+ public:
+  explicit ConstantRegressor(const double* value) : value_(value) {}
+  void fit(const models::Matrix&, const models::Vector&) override {
+    fitted_ = true;
+  }
+  models::Vector predict(const models::Matrix& x) const override {
+    return models::Vector(x.rows(), *value_);
+  }
+  std::unique_ptr<models::Regressor> clone_config() const override {
+    return std::make_unique<ConstantRegressor>(value_);
+  }
+  std::string name() const override { return "constant"; }
+  bool fitted() const override { return fitted_; }
+
+ private:
+  const double* value_;
+  bool fitted_ = false;
+};
+
+/// A quantile pair whose two bounds both read `*value`.
+std::unique_ptr<models::IntervalRegressor> constant_pair(const double* value) {
+  return std::make_unique<models::QuantilePairRegressor>(
+      core::MiscoverageAlpha{0.1}, std::make_unique<ConstantRegressor>(value),
+      std::make_unique<ConstantRegressor>(value), "constant pair");
+}
+
+TEST(Calibration, RejectedRefitLeavesNoCalibrationInEveryBuildType) {
+  // Finite inputs, non-finite base predictions: no finite-scan tier stands in
+  // front of the always-on score check. CQR, split, normalized and Mondrian
+  // CP rank their scores through stats::conformal_quantile; CV+ ranks
+  // mu +- residual itself and checks its residuals the same way.
+  const auto p = make_grouped(40, 9);
+  const core::MiscoverageAlpha alpha{0.1};
+  const double inf = std::numeric_limits<double>::infinity();
+  const double one = 1.0;
+  double prediction = 0.0;
+  CqrConfig asymmetric;
+  asymmetric.mode = CqrMode::kAsymmetric;
+  std::vector<std::unique_ptr<models::IntervalRegressor>> methods;
+  methods.push_back(std::make_unique<ConformalizedQuantileRegressor>(
+      alpha, constant_pair(&prediction)));
+  methods.push_back(std::make_unique<ConformalizedQuantileRegressor>(
+      alpha, constant_pair(&prediction), asymmetric));
+  methods.push_back(std::make_unique<SplitConformalRegressor>(
+      alpha, std::make_unique<ConstantRegressor>(&prediction)));
+  methods.push_back(std::make_unique<NormalizedConformalRegressor>(
+      alpha, std::make_unique<ConstantRegressor>(&prediction),
+      std::make_unique<ConstantRegressor>(&one)));
+  methods.push_back(std::make_unique<MondrianCqr>(
+      alpha, constant_pair(&prediction), group_of));
+  methods.push_back(std::make_unique<CvPlusRegressor>(
+      alpha, std::make_unique<ConstantRegressor>(&prediction)));
+  for (const auto& method : methods) {
+    for (const double bad :
+         {std::numeric_limits<double>::quiet_NaN(), inf, -inf}) {
+      prediction = 0.0;
+      method->fit(p.x, p.y);
+      prediction = bad;
+      try {
+        method->fit(p.x, p.y);
+        ADD_FAILURE() << method->name() << ": a base predicting " << bad
+                      << " was accepted";
+      } catch (const core::contract_violation& e) {
+        EXPECT_EQ(e.kind(), "precondition") << method->name() << " " << bad;
+      }
+      // The rejected refit leaves no calibration behind, although the same
+      // object was calibrated just before and its base predicts finitely.
+      prediction = 0.0;
+      EXPECT_THROW((void)method->predict_interval(p.x), std::logic_error)
+          << method->name() << " " << bad;
+    }
+  }
 }
 
 TEST(CvPlus, Validation) {

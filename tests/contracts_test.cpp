@@ -166,18 +166,23 @@ TEST_F(CqrContracts, RejectsCalibrationShapeMismatch) {
 }
 
 TEST_F(CqrContracts, RejectsNaNCalibrationLabels) {
-  if (!contracts_enabled()) {
-    GTEST_SKIP() << "finite scans compiled out (Release, contracts off)";
-  }
-  auto cqr = make_cqr();
-  Vector y_calib = make_labels(8);
-  y_calib[2] = kNaN;
-  try {
-    cqr->fit_with_split(make_design(20), make_labels(20), make_design(8),
-                        y_calib);
-    FAIL() << "calibration accepted a NaN label";
-  } catch (const contract_violation& e) {
-    EXPECT_EQ(e.kind(), "finite");
+  // Contract builds stop a NaN or infinite label at the finite scan; plain
+  // Release, where that scan compiles out, at the always-on score scan in
+  // stats::conformal_quantile.
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const double bad : {kNaN, inf, -inf}) {
+    auto cqr = make_cqr();
+    Vector y_calib = make_labels(8);
+    y_calib[2] = bad;
+    try {
+      cqr->fit_with_split(make_design(20), make_labels(20), make_design(8),
+                          y_calib);
+      ADD_FAILURE() << "calibration accepted a " << bad << " label";
+    } catch (const contract_violation& e) {
+      if (contracts_enabled()) {
+        EXPECT_EQ(e.kind(), "finite") << bad;
+      }
+    }
   }
 }
 

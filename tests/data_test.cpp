@@ -4,14 +4,20 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <memory>
 #include <set>
+#include <string>
 #include <utility>
 #include <vector>
 
+#include "core/contracts.hpp"
 #include "data/dataset.hpp"
 #include "data/feature_select.hpp"
 #include "data/scaler.hpp"
 #include "data/split.hpp"
+#include "models/elastic_net.hpp"
+#include "models/gp.hpp"
+#include "models/linear.hpp"
 #include "rng/rng.hpp"
 #include "stats/descriptive.hpp"
 
@@ -184,6 +190,73 @@ TEST(Scaler, LabelScalerRoundTrip) {
   const Vector back = scaler.inverse_transform(z);
   for (std::size_t i = 0; i < y.size(); ++i) EXPECT_NEAR(back[i], y[i], 1e-12);
   EXPECT_NEAR(scaler.inverse_transform(z[2]), y[2], 1e-12);
+}
+
+/// Runs `fit` and expects an always-on "precondition" contract violation.
+template <typename Fit>
+void expect_precondition(Fit&& fit, const std::string& what) {
+  try {
+    fit();
+    ADD_FAILURE() << what << " accepted non-finite moments";
+  } catch (const core::contract_violation& e) {
+    EXPECT_EQ(e.kind(), "precondition") << what;
+  }
+}
+
+TEST(Scaler, FitRejectsNonFiniteMomentsInEveryBuildType) {
+  // Every entry is finite, but column 1's sums overflow the double range, so
+  // its mean or scale would not be, and transform would turn it into NaN.
+  rng::Rng rng(16);
+  Matrix clean(64, 3);
+  Vector y(64);
+  for (std::size_t r = 0; r < 64; ++r) {
+    for (std::size_t c = 0; c < 3; ++c) clean(r, c) = rng.normal();
+    y[r] = rng.normal(0.6, 0.02);
+  }
+  Matrix huge = clean;
+  Vector huge_y(64);
+  for (std::size_t r = 0; r < 64; ++r) {
+    huge(r, 1) = rng.uniform(5e307, 1e308);
+    huge_y[r] = rng.uniform(5e307, 1e308);
+  }
+
+  // A rejected fit keeps a fitted scaler as it was.
+  StandardScaler scaler;
+  scaler.fit(clean);
+  const Vector means = scaler.means();
+  const Vector scales = scaler.scales();
+  expect_precondition([&] { scaler.fit(huge); }, "StandardScaler");
+  EXPECT_EQ(scaler.means(), means);
+  EXPECT_EQ(scaler.scales(), scales);
+  LabelScaler label_scaler;
+  label_scaler.fit(y);
+  const LabelScalerParams label = label_scaler.export_params();
+  expect_precondition([&] { label_scaler.fit(huge_y); }, "LabelScaler");
+  EXPECT_EQ(label_scaler.export_params().mean, label.mean);
+  EXPECT_EQ(label_scaler.export_params().scale, label.scale);
+
+  // Every model that standardises its design refuses the column. A refit
+  // that the label scaler rejects, after the width and the design scaler
+  // have changed, leaves the model unfitted rather than half refitted.
+  Matrix wide(64, 5);
+  for (std::size_t r = 0; r < 64; ++r) {
+    for (std::size_t c = 0; c < 5; ++c) wide(r, c) = rng.normal();
+  }
+  std::vector<std::unique_ptr<models::Regressor>> standardising;
+  standardising.push_back(std::make_unique<models::ElasticNetRegressor>());
+  standardising.push_back(std::make_unique<models::LinearRegressor>());
+  standardising.push_back(std::make_unique<models::GaussianProcessRegressor>());
+  for (const auto& model : standardising) {
+    expect_precondition([&] { model->fit(huge, y); }, model->name());
+    EXPECT_FALSE(model->fitted()) << model->name();
+    model->fit(clean, y);
+    expect_precondition([&] { model->fit(wide, huge_y); }, model->name());
+    EXPECT_FALSE(model->fitted()) << model->name();
+    EXPECT_THROW((void)model->predict(wide), core::contract_violation)
+        << model->name();
+    EXPECT_THROW((void)model->predict(clean), core::contract_violation)
+        << model->name();
+  }
 }
 
 TEST(Cfs, MeritPrefersInformativeUncorrelatedSubsets) {

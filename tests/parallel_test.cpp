@@ -1,17 +1,21 @@
 // Unit tests for the deterministic parallel substrate (src/parallel/):
 // chunk-grid math, pool lifecycle (lazy start, shutdown/restart, width
 // changes), exception propagation (lowest chunk index wins, matching a
-// sequential first-throw), nested-run inline fallback, and the determinism
-// contract on the primitives themselves — the end-to-end model-level proof
-// lives in parallel_invariance_test.cpp.
+// sequential first-throw), nested-run inline fallback, the determinism
+// contract on the primitives themselves, and where a quantile pair's two
+// models fit — the end-to-end model-level proof lives in
+// parallel_invariance_test.cpp.
 #include <gtest/gtest.h>
 
 #include <cstddef>
+#include <memory>
 #include <numeric>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "models/region.hpp"
 #include "parallel/parallel_for.hpp"
 #include "parallel/thread_pool.hpp"
 
@@ -267,6 +271,144 @@ TEST(ThreadPoolLifecycle, ZeroChunksIsANoOp) {
   bool called = false;
   parallel::ThreadPool::instance().run(0, [&](std::size_t) { called = true; });
   EXPECT_FALSE(called);
+}
+
+// --- quantile pair: its two models are the two chunks of one grid ----------
+
+/// One per thread, so its address names the running thread without a
+/// threading primitive outside src/parallel/.
+thread_local const char tl_thread_marker = 0;
+const void* current_thread() { return &tl_thread_marker; }
+
+/// Where one model's fit ran.
+struct FitRecord {
+  const void* thread = nullptr;
+  bool in_worker = false;
+};
+
+/// A regressor that records where its fit ran, appends its label to a
+/// sequence (when given one), and throws its label on request.
+class RecordingRegressor final : public models::Regressor {
+ public:
+  RecordingRegressor(std::string label, FitRecord* record,
+                     std::vector<std::string>* sequence, bool throws)
+      : label_(std::move(label)),
+        record_(record),
+        sequence_(sequence),
+        throws_(throws) {}
+
+  void fit(const models::Matrix&, const models::Vector&) override {
+    record_->thread = current_thread();
+    record_->in_worker = parallel::ThreadPool::in_worker();
+    if (sequence_ != nullptr) sequence_->push_back(label_);
+    if (throws_) throw std::runtime_error(label_);
+    fitted_ = true;
+  }
+  models::Vector predict(const models::Matrix& x) const override {
+    return models::Vector(x.rows(), 0.0);
+  }
+  std::unique_ptr<models::Regressor> clone_config() const override {
+    return std::make_unique<RecordingRegressor>(label_, record_, sequence_,
+                                                throws_);
+  }
+  std::string name() const override { return label_; }
+  bool fitted() const override { return fitted_; }
+
+ private:
+  std::string label_;
+  FitRecord* record_;
+  std::vector<std::string>* sequence_;
+  bool throws_;
+  bool fitted_ = false;
+};
+
+/// A pair over two recording models. `sequence` stays null wherever the
+/// two fits may run concurrently: they would both append to it.
+std::unique_ptr<models::QuantilePairRegressor> recording_pair(
+    FitRecord* lower, FitRecord* upper, std::vector<std::string>* sequence,
+    bool lower_throws = false, bool upper_throws = false) {
+  return std::make_unique<models::QuantilePairRegressor>(
+      core::MiscoverageAlpha{0.1},
+      std::make_unique<RecordingRegressor>("lower", lower, sequence,
+                                           lower_throws),
+      std::make_unique<RecordingRegressor>("upper", upper, sequence,
+                                           upper_throws),
+      "recording pair");
+}
+
+void fit_on_four_rows(models::QuantilePairRegressor& pair) {
+  pair.fit(models::Matrix(4, 2, 1.0), models::Vector(4, 0.5));
+}
+
+TEST(ParallelQuantilePair, WidthOneFitsBothOnTheCallerLowerFirst) {
+  ThreadOverrideGuard guard;
+  parallel::set_max_threads(1);
+  FitRecord lower, upper;
+  std::vector<std::string> sequence;
+  fit_on_four_rows(*recording_pair(&lower, &upper, &sequence));
+  EXPECT_EQ(lower.thread, current_thread());
+  EXPECT_EQ(upper.thread, current_thread());
+  EXPECT_EQ(sequence, (std::vector<std::string>{"lower", "upper"}));
+}
+
+TEST(ParallelQuantilePair, WiderPoolsFitLowerOnTheCallerAndUpperOnLaneOne) {
+  ThreadOverrideGuard guard;
+  for (std::size_t threads : {2u, 8u}) {
+    parallel::set_max_threads(threads);
+    FitRecord lower, upper;
+    fit_on_four_rows(*recording_pair(&lower, &upper, nullptr));
+    // Both are pool tasks, so every parallel loop inside a model runs inline.
+    EXPECT_TRUE(lower.in_worker) << "threads=" << threads;
+    EXPECT_TRUE(upper.in_worker) << "threads=" << threads;
+    // Chunk 0 runs on the caller (lane 0), chunk 1 on lane 1's worker.
+    const void* lane_one = nullptr;
+    parallel::ThreadPool::instance().run(2, [&](std::size_t c) {
+      if (c == 1) lane_one = current_thread();
+    });
+    EXPECT_EQ(lower.thread, current_thread()) << "threads=" << threads;
+    EXPECT_NE(upper.thread, current_thread()) << "threads=" << threads;
+    EXPECT_EQ(upper.thread, lane_one) << "threads=" << threads;
+  }
+}
+
+TEST(ParallelQuantilePair, InsideAPoolTaskBothFitInlineLowerFirst) {
+  ThreadOverrideGuard guard;
+  parallel::set_max_threads(4);
+  constexpr std::size_t kTasks = 8;
+  std::vector<FitRecord> lower(kTasks), upper(kTasks);
+  std::vector<std::vector<std::string>> sequence(kTasks);
+  std::vector<const void*> task_thread(kTasks);
+  parallel::parallel_for(kTasks, 1, [&](std::size_t b, std::size_t e) {
+    for (std::size_t i = b; i < e; ++i) {
+      task_thread[i] = current_thread();
+      fit_on_four_rows(*recording_pair(&lower[i], &upper[i], &sequence[i]));
+    }
+  });
+  for (std::size_t i = 0; i < kTasks; ++i) {
+    EXPECT_EQ(lower[i].thread, task_thread[i]) << "task " << i;
+    EXPECT_EQ(upper[i].thread, task_thread[i]) << "task " << i;
+    EXPECT_EQ(sequence[i], (std::vector<std::string>{"lower", "upper"}))
+        << "task " << i;
+  }
+}
+
+TEST(ParallelQuantilePair, LowerModelsExceptionWinsAtEveryWidth) {
+  ThreadOverrideGuard guard;
+  for (std::size_t threads : {1u, 2u, 8u}) {
+    parallel::set_max_threads(threads);
+    FitRecord lower, upper;
+    for (const bool lower_throws : {true, false}) {
+      try {
+        fit_on_four_rows(*recording_pair(&lower, &upper, nullptr, lower_throws,
+                                         /*upper_throws=*/true));
+        FAIL() << "expected a throw at threads=" << threads;
+      } catch (const std::runtime_error& e) {
+        // The sequential first-throw: lower's when it throws, else upper's.
+        EXPECT_STREQ(e.what(), lower_throws ? "lower" : "upper")
+            << "threads=" << threads;
+      }
+    }
+  }
 }
 
 }  // namespace

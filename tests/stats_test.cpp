@@ -5,6 +5,7 @@
 #include <cmath>
 #include <limits>
 
+#include "core/contracts.hpp"
 #include "rng/rng.hpp"
 #include "stats/descriptive.hpp"
 #include "stats/distributions.hpp"
@@ -91,6 +92,32 @@ TEST(Quantile, MinCalibrationSize) {
   EXPECT_EQ(min_calibration_size(core::MiscoverageAlpha{0.1}), 9u);
   EXPECT_EQ(min_calibration_size(core::MiscoverageAlpha{0.5}), 1u);
   EXPECT_EQ(min_calibration_size(core::MiscoverageAlpha{0.99}), 1u);
+}
+
+TEST(Quantile, ConformalQuantileRejectsNonFiniteScoresInEveryBuildType) {
+  // std::sort has no valid order with a NaN in it, so q-hat would depend on
+  // where the NaN sat; an infinite score has no finite quantile to offer.
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const double bad :
+       {std::numeric_limits<double>::quiet_NaN(), inf, -inf}) {
+    for (const std::size_t at : {0u, 9u, 19u}) {
+      std::vector<double> scores(20);
+      for (std::size_t i = 0; i < 20; ++i) scores[i] = static_cast<double>(i);
+      scores[at] = bad;
+      try {
+        (void)conformal_quantile(scores, core::MiscoverageAlpha{0.1});
+        ADD_FAILURE() << bad << " at " << at << " was accepted";
+      } catch (const core::contract_violation& e) {
+        EXPECT_EQ(e.kind(), "precondition") << bad << " at " << at;
+      }
+    }
+  }
+  // The scan runs before the size test: a too-small set of finite scores
+  // still returns +inf, but one holding a NaN throws.
+  EXPECT_THROW(
+      (void)conformal_quantile({1.0, std::numeric_limits<double>::quiet_NaN()},
+                               core::MiscoverageAlpha{0.1}),
+      core::contract_violation);
 }
 
 TEST(Quantile, ConformalQuantileValidation) {
