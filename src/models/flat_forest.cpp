@@ -3,7 +3,6 @@
 #include <limits>
 #include <stdexcept>
 
-#include "core/contracts.hpp"
 #include "models/ordered_boost.hpp"
 #include "models/tree.hpp"
 
@@ -46,7 +45,7 @@ void FlatForest::add_tree(const std::vector<TreeNode>& nodes) {
     }
   }
   // Nodes unreachable from the root (tolerated by the AoS layout) keep a
-  // slot at the end so per-tree indexing — and set_node_value — stays total.
+  // slot at the end, so the planes hold every node of the array.
   for (std::int32_t i = 0; i < n; ++i) {
     if (remap[static_cast<std::size_t>(i)] < 0) {
       remap[static_cast<std::size_t>(i)] =
@@ -75,7 +74,6 @@ void FlatForest::add_tree(const std::vector<TreeNode>& nodes) {
       value_[at] = 0.0;
     }
   }
-  remap_.insert(remap_.end(), remap.begin(), remap.end());
   roots_.push_back(base);
   depth_.push_back(max_depth);
 }
@@ -87,7 +85,6 @@ void FlatForest::clear() {
   value_.clear();
   roots_.clear();
   depth_.clear();
-  remap_.clear();
 }
 
 namespace {
@@ -113,19 +110,22 @@ void FlatForest::accumulate(const double* x, std::size_t n_rows,
   const double* threshold = threshold_.data();
   const std::int32_t* child = child_.data();
   const double* value = value_.data();
-  for (std::size_t r0 = 0; r0 < n_rows; r0 += kTraversalRowBlock) {
-    const std::size_t r1 = r0 + kTraversalRowBlock < n_rows
+  const std::size_t n_trees = roots_.size();
+  // Rows in whole groups of eight walk each tree eight rows abreast. The
+  // row blocks are multiples of eight, so no group straddles two blocks.
+  const std::size_t grouped = n_rows - n_rows % 8;
+  for (std::size_t r0 = 0; r0 < grouped; r0 += kTraversalRowBlock) {
+    const std::size_t r1 = r0 + kTraversalRowBlock < grouped
                                ? r0 + kTraversalRowBlock
-                               : n_rows;
-    for (std::size_t t = 0; t < roots_.size(); ++t) {
+                               : grouped;
+    for (std::size_t t = 0; t < n_trees; ++t) {
       const std::int32_t root = roots_[t];
       const std::int32_t depth = depth_[t];
-      std::size_t r = r0;
       // Eight interleaved fixed-depth chains: each chain is a serial
       // dependent-load sequence (~3 loads deep per step), so running eight
       // rows abreast keeps the load ports busy instead of serializing on
       // one chain's round-trip latency to the node planes.
-      for (; r + 8 <= r1; r += 8) {
+      for (std::size_t r = r0; r < r1; r += 8) {
         const double* row0 = x + r * stride;
         const double* row1 = row0 + stride;
         const double* row2 = row1 + stride;
@@ -155,79 +155,45 @@ void FlatForest::accumulate(const double* x, std::size_t n_rows,
         out[r + 6] += scale * value[i6];
         out[r + 7] += scale * value[i7];
       }
-      for (; r < r1; ++r) {
-        const double* row = x + r * stride;
-        std::int32_t idx = root;
-        for (std::int32_t d = 0; d < depth; ++d) {
-          idx = step(row, feature, threshold, child, idx);
-        }
-        out[r] += scale * value[idx];
+    }
+  }
+  if (grouped == n_rows) return;
+
+  // The 1-7 rows left over walk eight trees abreast instead: eight
+  // independent chains per row, each run for the group's deepest depth (a
+  // leaf's self-loop makes the extra steps no-ops). A last group of fewer
+  // than eight trees fills its spare lanes with its own last tree and adds
+  // only its real lanes. Each row then adds its leaf values in tree order,
+  // the same operations in the same order as the loop above.
+  for (std::size_t t = 0; t < n_trees; t += 8) {
+    const std::size_t lanes = n_trees - t < 8 ? n_trees - t : 8;
+    std::int32_t root[8];
+    std::int32_t depth = 0;
+    for (std::size_t k = 0; k < 8; ++k) {
+      const std::size_t tree = t + (k < lanes ? k : lanes - 1);
+      root[k] = roots_[tree];
+      depth = depth_[tree] > depth ? depth_[tree] : depth;
+    }
+    for (std::size_t r = grouped; r < n_rows; ++r) {
+      const double* row = x + r * stride;
+      std::int32_t i0 = root[0], i1 = root[1], i2 = root[2], i3 = root[3];
+      std::int32_t i4 = root[4], i5 = root[5], i6 = root[6], i7 = root[7];
+      for (std::int32_t d = 0; d < depth; ++d) {
+        i0 = step(row, feature, threshold, child, i0);
+        i1 = step(row, feature, threshold, child, i1);
+        i2 = step(row, feature, threshold, child, i2);
+        i3 = step(row, feature, threshold, child, i3);
+        i4 = step(row, feature, threshold, child, i4);
+        i5 = step(row, feature, threshold, child, i5);
+        i6 = step(row, feature, threshold, child, i6);
+        i7 = step(row, feature, threshold, child, i7);
       }
+      const std::int32_t leaf[8] = {i0, i1, i2, i3, i4, i5, i6, i7};
+      double acc = out[r];
+      for (std::size_t k = 0; k < lanes; ++k) acc += scale * value[leaf[k]];
+      out[r] = acc;
     }
   }
-}
-
-void FlatForest::predict_rows(const double* x, std::size_t n_rows,
-                              std::size_t stride, double* out) const {
-  VMINCQR_REQUIRE(!roots_.empty(), "FlatForest::predict_rows: empty forest");
-  const std::int32_t* feature = feature_.data();
-  const double* threshold = threshold_.data();
-  const std::int32_t* child = child_.data();
-  const double* value = value_.data();
-  for (std::size_t r0 = 0; r0 < n_rows; r0 += kTraversalRowBlock) {
-    const std::size_t r1 = r0 + kTraversalRowBlock < n_rows
-                               ? r0 + kTraversalRowBlock
-                               : n_rows;
-    for (std::size_t t = 0; t < roots_.size(); ++t) {
-      const std::int32_t root = roots_[t];
-      const std::int32_t depth = depth_[t];
-      for (std::size_t r = r0; r < r1; ++r) {
-        const double* row = x + r * stride;
-        std::int32_t idx = root;
-        for (std::int32_t d = 0; d < depth; ++d) {
-          idx = step(row, feature, threshold, child, idx);
-        }
-        if (t == 0) {
-          out[r] = value[idx];
-        } else {
-          out[r] += value[idx];
-        }
-      }
-    }
-  }
-}
-
-double FlatForest::predict_row(const double* row) const {
-  const std::int32_t* feature = feature_.data();
-  const double* threshold = threshold_.data();
-  const std::int32_t* child = child_.data();
-  const double* value = value_.data();
-  double acc = 0.0;
-  for (std::size_t t = 0; t < roots_.size(); ++t) {
-    std::int32_t idx = roots_[t];
-    const std::int32_t depth = depth_[t];
-    for (std::int32_t d = 0; d < depth; ++d) {
-      idx = step(row, feature, threshold, child, idx);
-    }
-    acc += value[idx];
-  }
-  return acc;
-}
-
-void FlatForest::set_node_value(std::size_t tree, std::size_t node_index,
-                                double value) {
-  VMINCQR_REQUIRE(tree < roots_.size(),
-                  "FlatForest::set_node_value: tree out of range");
-  // node_index is in the ORIGINAL (AoS) numbering; remap_ translates to the
-  // BFS-renumbered slot at the same per-tree base.
-  const auto base = static_cast<std::size_t>(roots_[tree]);
-  VMINCQR_REQUIRE(base + node_index < remap_.size(),
-                  "FlatForest::set_node_value: node out of range");
-  const std::size_t at =
-      base + static_cast<std::size_t>(remap_[base + node_index]);
-  VMINCQR_REQUIRE(at < value_.size(),
-                  "FlatForest::set_node_value: node out of range");
-  value_[at] = value;
 }
 
 void FlatObliviousForest::add_tree(const ObliviousTree& tree) {
@@ -283,22 +249,6 @@ void FlatObliviousForest::accumulate(const double* x, std::size_t n_rows,
       }
     }
   }
-}
-
-double FlatObliviousForest::predict_row(const double* row) const {
-  double acc = 0.0;
-  const std::size_t trees = n_trees();
-  for (std::size_t t = 0; t < trees; ++t) {
-    const std::size_t lvl0 = level_offset_[t];
-    const std::size_t lvl1 = level_offset_[t + 1];
-    std::size_t idx = 0;
-    for (std::size_t l = lvl0; l < lvl1; ++l) {
-      idx |= static_cast<std::size_t>(row[feature_[l]] > threshold_[l])
-             << (l - lvl0);
-    }
-    acc += leaf_values_[leaf_offset_[t] + idx];
-  }
-  return acc;
 }
 
 }  // namespace vmincqr::models

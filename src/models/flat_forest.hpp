@@ -1,5 +1,5 @@
 // Structure-of-arrays flattening of fitted tree ensembles — the inference
-// kernel behind GBT / ordered-boost / single-tree predict.
+// kernel behind GBT and ordered-boost predict.
 //
 // A fitted ensemble is pointer-chased AoS (vector<TreeNode>, 56+ bytes per
 // node, one heap block per tree). For serving, that layout wastes the cache:
@@ -9,12 +9,14 @@
 // ~20 bytes per node) with absolute child indices, so a 100-tree depth-6
 // forest fits in L2 and stays there across an entire batch.
 //
-// The traversal kernel processes a block of rows per plane sweep: rows outer
-// in blocks of kTraversalRowBlock, trees inner — the row block stays in L1
-// while the node planes stream once per block. Per ROW the accumulation
-// order is unchanged from the scalar reference (base term first, then trees
-// in round order, one fused multiply-add per tree), so flat predictions are
-// BIT-IDENTICAL to the AoS path.
+// The traversal kernel keeps eight independent chains in flight. Rows in
+// whole groups of eight walk each tree eight rows abreast, in blocks of
+// kTraversalRowBlock rows per plane sweep: the row block stays in L1 while
+// the node planes stream once per block. The 1-7 rows left over (the whole
+// batch when it is smaller than eight) walk eight trees abreast instead.
+// Either way each ROW accumulates exactly as the scalar reference does
+// (base term first, then trees in round order, one multiply and one add per
+// tree), so flat predictions are BIT-IDENTICAL to the AoS path.
 #pragma once
 
 #include <cstdint>
@@ -43,7 +45,7 @@ inline constexpr std::size_t kTraversalRowBlock = 256;
 /// i.e. they SELF-LOOP: stepping past a leaf is a no-op. That lets the
 /// traversal run a FIXED number of steps (the tree's recorded depth) with
 /// no data-dependent exit branch to mispredict — the compare feeds a setcc,
-/// never a jump — and several rows' chains interleave to hide load latency.
+/// never a jump — and independent chains interleave to hide load latency.
 class FlatForest {
  public:
   /// Appends a tree. Throws std::invalid_argument on an empty node array or
@@ -61,21 +63,6 @@ class FlatForest {
   void accumulate(const double* x, std::size_t n_rows, std::size_t stride,
                   double scale, double* out) const;
 
-  /// out[r] = unscaled sum over trees for row r (insertion order). The
-  /// first tree ASSIGNS rather than adding into a zero, so a single-tree
-  /// forest reproduces the reference's pure assignment bit-for-bit (adding
-  /// a -0.0 leaf into 0.0 would normalize its sign).
-  void predict_rows(const double* x, std::size_t n_rows, std::size_t stride,
-                    double* out) const;
-
-  /// Unscaled single-row sum over all trees (insertion order).
-  [[nodiscard]] double predict_row(const double* row) const;
-
-  /// Overwrites the value plane of node `node_index` of tree `tree` — keeps
-  /// the flat planes in sync with leaf refits (RegressionTree::
-  /// set_leaf_value). Unchecked beyond debug contracts; hot only at fit time.
-  void set_node_value(std::size_t tree, std::size_t node_index, double value);
-
  private:
   std::vector<std::int32_t> feature_;
   std::vector<double> threshold_;   ///< leaf: +infinity (compare always false)
@@ -83,9 +70,6 @@ class FlatForest {
   std::vector<double> value_;        ///< leaf value; internal: 0.0
   std::vector<std::int32_t> roots_;  ///< root node index per tree
   std::vector<std::int32_t> depth_;  ///< max root-to-leaf edges per tree
-  /// Original node index -> BFS-renumbered LOCAL index, concatenated per
-  /// tree at the same base as the planes (set_node_value's lookup).
-  std::vector<std::int32_t> remap_;
 };
 
 /// SoA flattening of a CatBoost-style oblivious forest: per-tree level
@@ -108,8 +92,6 @@ class FlatObliviousForest {
   /// same contract and ordering guarantee as FlatForest::accumulate.
   void accumulate(const double* x, std::size_t n_rows, std::size_t stride,
                   double scale, double* out) const;
-
-  [[nodiscard]] double predict_row(const double* row) const;
 
  private:
   std::vector<std::int32_t> feature_;    ///< concatenated per-level tests

@@ -10,6 +10,7 @@
 // quantile semantics despite the loss's zero curvature.
 #pragma once
 
+#include "models/flat_forest.hpp"
 #include "models/losses.hpp"
 #include "models/regressor.hpp"
 #include "models/tree.hpp"

@@ -83,8 +83,6 @@ void RegressionTree::fit(SortedDesign& design, const Vector& grad,
   train_leaf_ids_.assign(design.rows(), -1);
   design.order_ = design.sorted_;  // same size: reuses the buffer
   build(design, grad, hess, config, 0, design.rows(), 0);
-  flat_.clear();
-  flat_.add_tree(nodes_);
 }
 
 void RegressionTree::import_nodes(std::vector<TreeNode> nodes) {
@@ -119,8 +117,6 @@ void RegressionTree::import_nodes(std::vector<TreeNode> nodes) {
   leaf_node_index_ = std::move(leaf_index);
   n_leaves_ = n_leaves;
   train_leaf_ids_.clear();
-  flat_.clear();
-  flat_.add_tree(nodes_);
 }
 
 std::int32_t RegressionTree::build(SortedDesign& design, const Vector& grad,
@@ -273,15 +269,7 @@ double RegressionTree::predict_row(const double* row) const {
 Vector RegressionTree::predict(const Matrix& x) const {
   if (!fitted()) throw std::logic_error("RegressionTree::predict: not fitted");
   Vector out(x.rows());
-  // Row-sharded over the flat SoA planes; identical traversals to
-  // predict_row, just cache-blocked (see FlatForest).
-  parallel::parallel_for(
-      x.rows(), /*grain=*/0,
-      [&](std::size_t begin, std::size_t end) {
-        flat_.predict_rows(x.row_ptr(begin), end - begin, x.cols(),
-                           out.data() + begin);
-      },
-      /*use_pool=*/x.rows() >= 256);
+  for (std::size_t i = 0; i < x.rows(); ++i) out[i] = predict_row(x.row_ptr(i));
   return out;
 }
 
@@ -291,7 +279,6 @@ void RegressionTree::set_leaf_value(std::int32_t leaf_id, double value) {
   }
   const std::int32_t node_index = leaf_node_index_[leaf_id];
   nodes_[node_index].value = value;
-  flat_.set_node_value(0, static_cast<std::size_t>(node_index), value);
 }
 
 void RegressionTree::accumulate_feature_gains(

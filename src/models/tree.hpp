@@ -12,7 +12,6 @@
 #include <vector>
 
 #include "linalg/matrix.hpp"
-#include "models/flat_forest.hpp"
 
 namespace vmincqr::models {
 
@@ -127,11 +126,6 @@ class RegressionTree {
   /// std::invalid_argument on dangling children or non-dense leaf ids.
   void import_nodes(std::vector<TreeNode> nodes);
 
-  /// The single-tree SoA planes predict() traverses (rebuilt by fit /
-  /// import_nodes, kept in sync by set_leaf_value). Ensemble
-  /// models build their own multi-tree FlatForest from nodes() instead.
-  [[nodiscard]] const FlatForest& flat() const noexcept { return flat_; }
-
  private:
   /// Grows the subtree over the rows of segment [begin, end) of every
   /// design.order_ list.
@@ -140,7 +134,6 @@ class RegressionTree {
                      std::size_t begin, std::size_t end, int depth);
 
   std::vector<TreeNode> nodes_;
-  FlatForest flat_;  // single-tree SoA mirror of nodes_ (see flat())
   std::vector<std::int32_t> leaf_node_index_;  // leaf_id -> node index
   std::vector<std::int32_t> train_leaf_ids_;
   std::size_t n_leaves_ = 0;

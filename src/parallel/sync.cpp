@@ -3,21 +3,18 @@
 namespace vmincqr::parallel {
 
 void OneShotEvent::set() {
-  {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    set_ = true;
-  }
-  cv_.notify_all();
+  set_.store(true, std::memory_order_release);
+  set_.notify_all();
 }
 
 void OneShotEvent::wait() const {
-  std::unique_lock<std::mutex> lock(mutex_);
-  cv_.wait(lock, [&] { return set_; });
+  // atomic::wait returns once the value differs from `false`; it rechecks
+  // after every wake, so a spurious one loops here inside the library.
+  set_.wait(false, std::memory_order_acquire);
 }
 
 bool OneShotEvent::is_set() const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  return set_;
+  return set_.load(std::memory_order_acquire);
 }
 
 void Gate::open() {

@@ -10,6 +10,7 @@
 // floating-point result depends on scheduling.
 #pragma once
 
+#include <atomic>
 #include <condition_variable>
 #include <mutex>
 
@@ -46,6 +47,11 @@ class ScopedLock {
 /// One-shot completion event: set() exactly once, any number of waiters.
 /// The daemon fulfils one per admitted request; shed requests are set
 /// before the ticket is handed back, so wait() never blocks on them.
+///
+/// One atomic flag and C++20 atomic wait/notify: set() is a release store
+/// plus a wake, and a waiter takes no lock. Whatever the setter wrote
+/// before set() is visible to a thread once its wait() returns or its
+/// is_set() reads true (acquire loads).
 class OneShotEvent {
  public:
   /// Marks the event set and wakes every waiter. Idempotent.
@@ -55,9 +61,7 @@ class OneShotEvent {
   [[nodiscard]] bool is_set() const;
 
  private:
-  mutable std::mutex mutex_;
-  mutable std::condition_variable cv_;
-  bool set_ = false;
+  std::atomic<bool> set_{false};
 };
 
 /// Reusable open/closed gate, open on construction. wait_open() blocks while

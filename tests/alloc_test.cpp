@@ -260,9 +260,11 @@ TEST(ServeAllocations, CqrLinear) {
 }
 
 TEST(ServeAllocations, CqrXgboost) {
+  // Decoding flattens each tree once, into the ensemble's forest: a decoded
+  // RegressionTree keeps no single-tree copy of its planes.
   expect_serve_pins(
       encode_identity_bundle(cqr_over(models::ModelKind::kXgboost)),
-      fresh_batches(), {3355, {4, 4, 4, 5, 5, 5, 5, 7, 10, 22}});
+      fresh_batches(), {1336, {4, 4, 4, 5, 5, 5, 5, 7, 10, 22}});
 }
 
 TEST(ServeAllocations, CqrCatboost) {

@@ -3,10 +3,12 @@
 // FeatureBinner invariant the ordered-boost level search relies on.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <set>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -195,6 +197,31 @@ TEST(KernelsExact, RowSqDistsMatchesScalarReferenceBitwise) {
 
 // --- flat forests -----------------------------------------------------------
 
+/// The AoS reference: the base score, then tree by tree in round order the
+/// learning rate times the leaf a pointer-chasing walk reaches.
+double gbt_reference(const models::GbtParams& params, const double* row) {
+  double want = params.base_score;
+  for (const auto& nodes : params.trees) {
+    std::size_t idx = 0;
+    while (!nodes[idx].is_leaf) {
+      idx = row[nodes[idx].feature] <= nodes[idx].threshold
+                ? static_cast<std::size_t>(nodes[idx].left)
+                : static_cast<std::size_t>(nodes[idx].right);
+    }
+    want += params.learning_rate * nodes[idx].value;
+  }
+  return want;
+}
+
+/// Root-to-deepest-leaf edges of the subtree at `idx`.
+std::size_t tree_depth(const std::vector<models::TreeNode>& nodes,
+                       std::size_t idx = 0) {
+  if (nodes[idx].is_leaf) return 0;
+  return 1 + std::max(
+                 tree_depth(nodes, static_cast<std::size_t>(nodes[idx].left)),
+                 tree_depth(nodes, static_cast<std::size_t>(nodes[idx].right)));
+}
+
 TEST(FlatForest, GbtPredictMatchesPerTreeTraversal) {
   const Problem p = make_problem(300, 6, 21);
   models::GbtConfig config;
@@ -205,18 +232,48 @@ TEST(FlatForest, GbtPredictMatchesPerTreeTraversal) {
   const models::GbtParams params = model.export_params();
   const linalg::Vector got = model.predict(p.x);
   for (std::size_t i = 0; i < p.x.rows(); ++i) {
-    double want = params.base_score;
-    for (const auto& nodes : params.trees) {
-      // Reference pointer-chasing traversal over the exported AoS nodes.
-      std::size_t idx = 0;
-      while (!nodes[idx].is_leaf) {
-        idx = p.x(i, nodes[idx].feature) <= nodes[idx].threshold
-                  ? static_cast<std::size_t>(nodes[idx].left)
-                  : static_cast<std::size_t>(nodes[idx].right);
+    ASSERT_EQ(got[i], gbt_reference(params, p.x.row_ptr(i))) << "row " << i;
+  }
+}
+
+TEST(FlatForest, EveryBatchSizeMatchesPerTreeTraversalBitwise) {
+  // 13 trees: one group of eight walked abreast, then a group of five. Rows
+  // past the last whole group of eight take that trees-abreast path: every
+  // row of a batch of 1-7, the 1-7-row tails of 9-17, and the 7 rows after
+  // the 256-row block of the 263-row batch.
+  Problem p = make_problem(263, 6, 23);
+  // Labels near zero, so a row's partial sums change binade from tree to
+  // tree and the order of its additions shows in the bits. Around 0.55
+  // every partial sum stays in [0.5, 1), where each addition rounds its
+  // term to one fixed grid, and any order gives the same sum.
+  for (std::size_t i = 0; i < p.y.size(); ++i) p.y[i] -= 0.55;
+  models::GbtConfig config;
+  config.n_rounds = 13;
+  config.tree.min_samples_leaf = 20;  // the trees stop at different depths
+  models::GradientBoostedTrees model(config);
+  model.fit(p.x, p.y);
+
+  const models::GbtParams params = model.export_params();
+  ASSERT_EQ(params.trees.size(), 13u);
+  std::set<std::size_t> depths;
+  for (const auto& nodes : params.trees) depths.insert(tree_depth(nodes));
+  ASSERT_GT(depths.size(), 1u) << "the trees must differ in depth";
+
+  std::vector<std::size_t> batch_sizes;
+  for (std::size_t rows = 1; rows <= 17; ++rows) batch_sizes.push_back(rows);
+  batch_sizes.push_back(p.x.rows());
+  for (const std::size_t rows : batch_sizes) {
+    for (std::size_t begin = 0; begin < p.x.rows(); begin += rows) {
+      const std::size_t end = std::min(begin + rows, p.x.rows());
+      const linalg::Vector got = model.predict(p.x.row_block(begin, end));
+      for (std::size_t i = begin; i < end; ++i) {
+        const double want = gbt_reference(params, p.x.row_ptr(i));
+        ASSERT_EQ(std::bit_cast<std::uint64_t>(got[i - begin]),
+                  std::bit_cast<std::uint64_t>(want))
+            << rows << "-row batches, row " << i << ": " << got[i - begin]
+            << " vs " << want;
       }
-      want += params.learning_rate * nodes[idx].value;
     }
-    ASSERT_EQ(got[i], want) << "row " << i;
   }
 }
 

@@ -2,9 +2,9 @@
 // chunk-grid math, pool lifecycle (lazy start, shutdown/restart, width
 // changes), exception propagation (lowest chunk index wins, matching a
 // sequential first-throw), nested-run inline fallback, the determinism
-// contract on the primitives themselves, and where a quantile pair's two
-// models fit — the end-to-end model-level proof lives in
-// parallel_invariance_test.cpp.
+// contract on the primitives themselves, where a quantile pair's two
+// models fit, and the one-shot event a daemon ticket resolves through — the
+// end-to-end model-level proof lives in parallel_invariance_test.cpp.
 #include <gtest/gtest.h>
 
 #include <cstddef>
@@ -17,6 +17,8 @@
 
 #include "models/region.hpp"
 #include "parallel/parallel_for.hpp"
+#include "parallel/service_thread.hpp"
+#include "parallel/sync.hpp"
 #include "parallel/thread_pool.hpp"
 
 using namespace vmincqr;
@@ -409,6 +411,44 @@ TEST(ParallelQuantilePair, LowerModelsExceptionWinsAtEveryWidth) {
       }
     }
   }
+}
+
+// --- the one-shot event behind a daemon ticket ------------------------------
+
+TEST(ParallelSync, SetBeforeWaitReturnsAtOnce) {
+  parallel::OneShotEvent event;
+  EXPECT_FALSE(event.is_set());
+  event.set();
+  EXPECT_TRUE(event.is_set());
+  event.wait();  // a shed ticket is set before anyone waits on it
+  EXPECT_TRUE(event.is_set());
+}
+
+TEST(ParallelSync, WaiterOnAServiceThreadWakesAfterSet) {
+  parallel::OneShotEvent started;
+  parallel::OneShotEvent done;
+  int payload = 0;  // written before set(), read after wait(): not atomic
+  int seen = -1;
+  parallel::ServiceThread waiter;
+  waiter.start([&] {
+    started.set();
+    done.wait();
+    seen = payload;
+  });
+  started.wait();
+  EXPECT_FALSE(done.is_set());
+  payload = 42;
+  done.set();
+  waiter.join();
+  EXPECT_EQ(seen, 42);
+}
+
+TEST(ParallelSync, SecondSetIsHarmless) {
+  parallel::OneShotEvent event;
+  event.set();
+  event.set();
+  event.wait();
+  EXPECT_TRUE(event.is_set());
 }
 
 }  // namespace
