@@ -111,60 +111,14 @@ void FlatForest::accumulate(const double* x, std::size_t n_rows,
   const std::int32_t* child = child_.data();
   const double* value = value_.data();
   const std::size_t n_trees = roots_.size();
-  // Rows in whole groups of eight walk each tree eight rows abreast. The
-  // row blocks are multiples of eight, so no group straddles two blocks.
-  const std::size_t grouped = n_rows - n_rows % 8;
-  for (std::size_t r0 = 0; r0 < grouped; r0 += kTraversalRowBlock) {
-    const std::size_t r1 = r0 + kTraversalRowBlock < grouped
-                               ? r0 + kTraversalRowBlock
-                               : grouped;
-    for (std::size_t t = 0; t < n_trees; ++t) {
-      const std::int32_t root = roots_[t];
-      const std::int32_t depth = depth_[t];
-      // Eight interleaved fixed-depth chains: each chain is a serial
-      // dependent-load sequence (~3 loads deep per step), so running eight
-      // rows abreast keeps the load ports busy instead of serializing on
-      // one chain's round-trip latency to the node planes.
-      for (std::size_t r = r0; r < r1; r += 8) {
-        const double* row0 = x + r * stride;
-        const double* row1 = row0 + stride;
-        const double* row2 = row1 + stride;
-        const double* row3 = row2 + stride;
-        const double* row4 = row3 + stride;
-        const double* row5 = row4 + stride;
-        const double* row6 = row5 + stride;
-        const double* row7 = row6 + stride;
-        std::int32_t i0 = root, i1 = root, i2 = root, i3 = root;
-        std::int32_t i4 = root, i5 = root, i6 = root, i7 = root;
-        for (std::int32_t d = 0; d < depth; ++d) {
-          i0 = step(row0, feature, threshold, child, i0);
-          i1 = step(row1, feature, threshold, child, i1);
-          i2 = step(row2, feature, threshold, child, i2);
-          i3 = step(row3, feature, threshold, child, i3);
-          i4 = step(row4, feature, threshold, child, i4);
-          i5 = step(row5, feature, threshold, child, i5);
-          i6 = step(row6, feature, threshold, child, i6);
-          i7 = step(row7, feature, threshold, child, i7);
-        }
-        out[r + 0] += scale * value[i0];
-        out[r + 1] += scale * value[i1];
-        out[r + 2] += scale * value[i2];
-        out[r + 3] += scale * value[i3];
-        out[r + 4] += scale * value[i4];
-        out[r + 5] += scale * value[i5];
-        out[r + 6] += scale * value[i6];
-        out[r + 7] += scale * value[i7];
-      }
-    }
-  }
-  if (grouped == n_rows) return;
-
-  // The 1-7 rows left over walk eight trees abreast instead: eight
-  // independent chains per row, each run for the group's deepest depth (a
-  // leaf's self-loop makes the extra steps no-ops). A last group of fewer
-  // than eight trees fills its spare lanes with its own last tree and adds
-  // only its real lanes. Each row then adds its leaf values in tree order,
-  // the same operations in the same order as the loop above.
+  // Each row walks eight trees abreast. Every chain is a serial
+  // dependent-load sequence (~3 loads deep per step), so eight independent
+  // chains keep the load ports busy instead of serializing on one chain's
+  // round trip to the node planes. Each chain runs for its group's deepest
+  // depth (a leaf's self-loop makes the extra steps no-ops). A last group of
+  // fewer than eight trees fills its spare lanes with its own last tree and
+  // adds only its real lanes. Each row then adds its leaf values in tree
+  // order, the same operations in the same order as the scalar reference.
   for (std::size_t t = 0; t < n_trees; t += 8) {
     const std::size_t lanes = n_trees - t < 8 ? n_trees - t : 8;
     std::int32_t root[8];
@@ -174,7 +128,7 @@ void FlatForest::accumulate(const double* x, std::size_t n_rows,
       root[k] = roots_[tree];
       depth = depth_[tree] > depth ? depth_[tree] : depth;
     }
-    for (std::size_t r = grouped; r < n_rows; ++r) {
+    for (std::size_t r = 0; r < n_rows; ++r) {
       const double* row = x + r * stride;
       std::int32_t i0 = root[0], i1 = root[1], i2 = root[2], i3 = root[3];
       std::int32_t i4 = root[4], i5 = root[5], i6 = root[6], i7 = root[7];

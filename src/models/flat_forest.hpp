@@ -9,14 +9,11 @@
 // ~20 bytes per node) with absolute child indices, so a 100-tree depth-6
 // forest fits in L2 and stays there across an entire batch.
 //
-// The traversal kernel keeps eight independent chains in flight. Rows in
-// whole groups of eight walk each tree eight rows abreast, in blocks of
-// kTraversalRowBlock rows per plane sweep: the row block stays in L1 while
-// the node planes stream once per block. The 1-7 rows left over (the whole
-// batch when it is smaller than eight) walk eight trees abreast instead.
-// Either way each ROW accumulates exactly as the scalar reference does
-// (base term first, then trees in round order, one multiply and one add per
-// tree), so flat predictions are BIT-IDENTICAL to the AoS path.
+// The traversal kernel walks each row through eight trees abreast, so eight
+// independent chains are in flight at every batch size, a single row
+// included. Each ROW accumulates exactly as the scalar reference does (base
+// term first, then trees in round order, one multiply and one add per tree),
+// so flat predictions are BIT-IDENTICAL to the AoS path.
 #pragma once
 
 #include <cstdint>
@@ -27,7 +24,8 @@ namespace vmincqr::models {
 struct TreeNode;
 struct ObliviousTree;
 
-/// Rows traversed per plane sweep (8 doubles x 13 features x 256 rows ~ 26KB
+/// Rows per traversal shard: GBT and ordered-boost predict hand the kernels
+/// at most this many rows per call (8 doubles x 13 features x 256 rows ~ 26KB
 /// of row data resident in L1/L2 while the node planes stream).
 inline constexpr std::size_t kTraversalRowBlock = 256;
 

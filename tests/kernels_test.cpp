@@ -237,10 +237,9 @@ TEST(FlatForest, GbtPredictMatchesPerTreeTraversal) {
 }
 
 TEST(FlatForest, EveryBatchSizeMatchesPerTreeTraversalBitwise) {
-  // 13 trees: one group of eight walked abreast, then a group of five. Rows
-  // past the last whole group of eight take that trees-abreast path: every
-  // row of a batch of 1-7, the 1-7-row tails of 9-17, and the 7 rows after
-  // the 256-row block of the 263-row batch.
+  // 13 trees: one group of eight walked abreast, then a group of five whose
+  // three spare lanes repeat its last tree and must add nothing. Every batch
+  // size from 1 to 17 rows, and 263 rows (a 256-row shard, then 7 rows).
   Problem p = make_problem(263, 6, 23);
   // Labels near zero, so a row's partial sums change binade from tree to
   // tree and the order of its additions shows in the bits. Around 0.55

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <cstddef>
+#include <ctime>
 #include <memory>
 #include <numeric>
 #include <stdexcept>
@@ -436,6 +437,10 @@ TEST(ParallelSync, WaiterOnAServiceThreadWakesAfterSet) {
     seen = payload;
   });
   started.wait();
+  // 20 ms is long past the library's spin-and-yield phase, so the waiter is
+  // asleep on the flag when set() runs and only notify_all() can wake it.
+  const timespec pause{0, 20'000'000};
+  nanosleep(&pause, nullptr);
   EXPECT_FALSE(done.is_set());
   payload = 42;
   done.set();

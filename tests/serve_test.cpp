@@ -249,35 +249,22 @@ TEST(ServePredictor, BenchmarkXgboostBundleServesPinnedIntervals) {
     const std::uint64_t digest = interval_digest(served);
     EXPECT_EQ(digest, 0xad955ce9a3c1095fULL)
         << "width " << width << ": digest 0x" << std::hex << digest;
-  }
-  parallel::set_max_threads(0);
-}
 
-TEST(ServePredictor, BenchmarkBundleServesPinnedIntervalsInSmallBatches) {
-  // A batch of fewer than eight rows, and the tail of a 13-row batch, walk
-  // eight trees abreast per row rather than eight rows abreast per tree. The
-  // served bounds must keep the bits the 4096-row batch above pins.
-  constexpr std::size_t kFeatures = 13;
-  const Problem train = make_problem(2000, kFeatures);
-  const Problem batch = make_problem(4096, kFeatures);
-  const auto predictor = serve::VminPredictor::from_bytes(
-      encode_cqr_bundle(models::ModelKind::kXgboost, train));
-
-  for (const std::size_t width : {1, 2, 8}) {
-    parallel::set_max_threads(width);
+    // The same rows in the small batches a lightly loaded daemon serves,
+    // a 13-row batch's 5-row tail included, keep the same bits.
     for (const std::size_t rows : {1, 2, 3, 5, 7, 13}) {
-      std::vector<serve::IntervalPrediction> served;
-      served.reserve(batch.x.rows());
+      std::vector<serve::IntervalPrediction> parts;
+      parts.reserve(batch.x.rows());
       for (std::size_t begin = 0; begin < batch.x.rows(); begin += rows) {
         const std::size_t end = std::min(begin + rows, batch.x.rows());
         const auto part =
             predictor.predict_batch(batch.x.row_block(begin, end));
-        served.insert(served.end(), part.begin(), part.end());
+        parts.insert(parts.end(), part.begin(), part.end());
       }
-      const std::uint64_t digest = interval_digest(served);
-      EXPECT_EQ(digest, 0xad955ce9a3c1095fULL)
+      const std::uint64_t small = interval_digest(parts);
+      EXPECT_EQ(small, 0xad955ce9a3c1095fULL)
           << "width " << width << ", " << rows << "-row batches: digest 0x"
-          << std::hex << digest;
+          << std::hex << small;
     }
   }
   parallel::set_max_threads(0);
