@@ -250,8 +250,8 @@ TEST(ServePredictor, BenchmarkXgboostBundleServesPinnedIntervals) {
     EXPECT_EQ(digest, 0xad955ce9a3c1095fULL)
         << "width " << width << ": digest 0x" << std::hex << digest;
 
-    // The same rows in the small batches a lightly loaded daemon serves,
-    // a 13-row batch's 5-row tail included, keep the same bits.
+    // The same rows in the small batches a lightly loaded daemon serves
+    // keep the same bits.
     for (const std::size_t rows : {1, 2, 3, 5, 7, 13}) {
       std::vector<serve::IntervalPrediction> parts;
       parts.reserve(batch.x.rows());
